@@ -53,12 +53,14 @@ fn bench_mem(c: &mut Criterion) {
 
     g.bench_function("mshr_allocate_complete", |b| {
         let mut mshr: Mshr<u32> = Mshr::new(16, 8);
+        let mut targets = Vec::with_capacity(8);
         let mut i = 0u64;
         b.iter(|| {
             let line = LineAddr(i % 13);
             i += 1;
             mshr.allocate(line, 0, false);
-            mshr.complete(line);
+            targets.clear();
+            mshr.complete(line, &mut targets);
         })
     });
 

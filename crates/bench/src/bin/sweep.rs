@@ -32,7 +32,9 @@
 //! `--quick` shrinks everything to a CI smoke asserting the shared path
 //! is not slower beyond noise; the committed JSON is a full run.
 
-use cmpleak_core::sweep::{run_sweep, run_sweep_unshared, run_sweep_with_scratch, SweepConfig};
+use cmpleak_core::sweep::{
+    run_sweep_unshared, run_sweep_with_scratch, run_sweep_with_telemetry, SweepConfig,
+};
 use cmpleak_core::{ExperimentConfig, ExperimentScratch, Scenario, Technique, WorkloadSpec};
 use cmpleak_mem::BankArena;
 use cmpleak_store::ResultStore;
@@ -390,6 +392,10 @@ struct ServeReport {
     prefetched: usize,
     /// Wall-clock seconds spent in the batched miss grids.
     batch_s: f64,
+    /// Lane-engine riders the miss batches forked off their trunks.
+    forks: usize,
+    /// Cycles those riders rode their trunks instead of stepping them.
+    cycles_shared: u64,
     rows: Vec<ServeRow>,
 }
 
@@ -510,6 +516,7 @@ fn serve(args: &[String]) {
     // attached, so every simulated cell (requested or grid prefetch)
     // is published for future requests.
     let mut prefetched = 0usize;
+    let (mut forks, mut cycles_shared) = (0usize, 0u64);
     let t0 = Instant::now();
     for ((label, instr), g) in &groups {
         let cfg = SweepConfig {
@@ -522,7 +529,9 @@ fn serve(args: &[String]) {
             threads: opts.threads,
             store: Some(Arc::clone(&store)),
         };
-        let res = run_sweep(&cfg);
+        let (res, telemetry) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
+        forks += telemetry.forks;
+        cycles_shared += telemetry.cycles_shared;
         let extra = res.cells.len().saturating_sub(g.missed.len());
         prefetched += extra;
         println!(
@@ -571,6 +580,7 @@ fn serve(args: &[String]) {
         requests.len(),
         store.record_count()
     );
+    println!("lanes: {forks} rider fork(s), {cycles_shared} cycles shared with trunks");
     let report = ServeReport {
         store: opts.store.clone(),
         requests: requests.len(),
@@ -579,6 +589,8 @@ fn serve(args: &[String]) {
         misses,
         prefetched,
         batch_s,
+        forks,
+        cycles_shared,
         rows,
     };
     if let Some(path) = &opts.out {

@@ -212,8 +212,8 @@ fn cmd_inspect(opts: &Opts) {
         tf.min_core_instructions()
     );
     print_core_rows(&h.cores);
-    let mut w = tf.core_workload(0).unwrap_or_else(|e| {
-        eprintln!("cannot read core 0: {e}");
+    let mut w = tf.core_workload(0).unwrap_or_else(|| {
+        eprintln!("trace has no core 0");
         exit(1);
     });
     println!("first {} ops of core 0 ({}):", opts.ops.min(w.total_ops()), w.name());

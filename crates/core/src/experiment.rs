@@ -171,6 +171,12 @@ impl ExperimentScratch {
         self.sim.arena_stats()
     }
 
+    /// The lane engine's pools and fork counters
+    /// ([`LaneScratch::forks`], [`LaneScratch::cycles_shared`]).
+    pub fn lanes(&self) -> &LaneScratch {
+        &self.lanes
+    }
+
     /// Allocation counters of the shared-stream buffer pool.
     pub fn stream_arena_stats(&self) -> cmpleak_system::ArenaStats {
         self.streams.stats()

@@ -43,7 +43,7 @@ pub enum Scenario {
         /// Label from the trace header (cached at construction so
         /// labelling never needs IO).
         label: String,
-        /// The preloaded trace image, shared across clones — a sweep
+        /// The validated trace image, shared across clones — a sweep
         /// replaying one trace over many cells reads the file once, and
         /// worker threads slice the same cached bytes.
         file: Arc<TraceFile>,
@@ -61,11 +61,10 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Wrap a trace file: parse the header, pull the image into memory
-    /// once, and share it across every clone of this scenario.
+    /// Wrap a trace file: read and validate the image once, and share
+    /// it across every clone of this scenario.
     pub fn from_trace(path: impl AsRef<Path>) -> io::Result<Scenario> {
-        let mut tf = TraceFile::open(path.as_ref())?;
-        tf.preload()?;
+        let tf = TraceFile::open(path.as_ref())?;
         Ok(Scenario::TraceReplay {
             path: path.as_ref().to_path_buf(),
             label: format!("{}@trace", tf.label()),
@@ -155,12 +154,8 @@ impl Scenario {
     /// store content address ([`crate::store_key`]). Every field is
     /// length- or width-delimited, so distinct scenarios cannot alias.
     ///
-    /// For [`Scenario::TraceReplay`] the encoding covers the exact
-    /// cached file image when one is present (always the case for
-    /// scenarios built via [`Scenario::from_trace`], which preloads);
-    /// otherwise it falls back to the parsed header, which still pins
-    /// label, seed and every per-core stream's op/instruction/byte
-    /// counts.
+    /// For [`Scenario::TraceReplay`] the encoding covers the exact file
+    /// image.
     pub fn canonical_bytes(&self, out: &mut Vec<u8>) {
         fn put_u64(out: &mut Vec<u8>, v: u64) {
             out.extend_from_slice(&v.to_le_bytes());
@@ -206,19 +201,12 @@ impl Scenario {
             Scenario::TraceReplay { label, file, .. } => {
                 out.push(3);
                 put_str(out, label);
-                match file.cached_image() {
-                    Some(image) => {
-                        out.push(1);
-                        put_u64(out, image.len() as u64);
-                        out.extend_from_slice(image);
-                    }
-                    None => {
-                        out.push(0);
-                        let bytes = file.header().encode();
-                        put_u64(out, bytes.len() as u64);
-                        out.extend_from_slice(&bytes);
-                    }
-                }
+                // Tag 1 marks a whole-image encoding; the byte is part of
+                // the content address of every stored trace-replay cell.
+                let image = file.image();
+                out.push(1);
+                put_u64(out, image.len() as u64);
+                out.extend_from_slice(image);
             }
             Scenario::SharedStream { trace } => {
                 out.push(4);
@@ -273,14 +261,7 @@ impl Scenario {
                     tf.min_core_instructions(),
                     instructions_per_core
                 );
-                (0..n_cores)
-                    .map(|c| {
-                        Box::new(tf.core_workload(c).unwrap_or_else(|e| {
-                            // audit:allow(unwrap-in-lib, config-load failure at scenario build time, before any simulation state exists; the trace path was validated by the header read above)
-                            panic!("cannot read core {c} of {}: {e}", path.display())
-                        })) as Box<dyn Workload>
-                    })
-                    .collect()
+                tf.workloads().into_iter().map(|w| Box::new(w) as Box<dyn Workload>).collect()
             }
             Scenario::SharedStream { trace } => {
                 Self::check_shared(trace, n_cores, seed, instructions_per_core);

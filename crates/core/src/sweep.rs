@@ -35,7 +35,7 @@ use cmpleak_store::{CellKey, ResultStore};
 use cmpleak_trace::MemTrace;
 use cmpleak_workloads::{ScenarioSpec, WorkloadSpec};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Sweep parameters.
@@ -299,6 +299,13 @@ pub struct SweepTelemetry {
     pub store_hits: usize,
     /// Cells simulated and published to the store.
     pub store_misses: usize,
+    /// Lane-engine riders forked off their trunk lanes (see
+    /// [`cmpleak_system::lanes`]): cells whose shared prefix another
+    /// cell simulated. Each is still simulated and counts as a store
+    /// miss.
+    pub forks: usize,
+    /// Cycles those riders rode their trunks instead of stepping them.
+    pub cycles_shared: u64,
 }
 
 /// One grid cell's work order: the experiment configuration (carrying
@@ -534,6 +541,8 @@ fn run_sweep_inner(
     let recorded = AtomicUsize::new(0);
     let store_hits = AtomicUsize::new(0);
     let store_misses = AtomicUsize::new(0);
+    let forks = AtomicUsize::new(0);
+    let cycles_shared = AtomicU64::new(0);
     // The shared-stream buffer pool, lent to the pool's recorders for
     // the duration of the sweep and restored to `scratch` after.
     let rec_pool = Mutex::new(std::mem::take(scratch.stream_arena()));
@@ -571,6 +580,8 @@ fn run_sweep_inner(
                 let recorded = &recorded;
                 let store_hits = &store_hits;
                 let store_misses = &store_misses;
+                let forks = &forks;
+                let cycles_shared = &cycles_shared;
                 let res_tx = res_tx.clone();
                 s.spawn(move || {
                     // Per-worker scratch: queue/event-ring/per-line-bank
@@ -624,7 +635,15 @@ fn run_sweep_inner(
                                     c
                                 })
                                 .collect();
+                            let (f0, c0) =
+                                (scratch.lanes().forks(), scratch.lanes().cycles_shared());
                             let rs = run_experiment_lanes(&cfgs, &mut scratch);
+                            forks.fetch_add(
+                                (scratch.lanes().forks() - f0) as usize,
+                                Ordering::Relaxed,
+                            );
+                            cycles_shared
+                                .fetch_add(scratch.lanes().cycles_shared() - c0, Ordering::Relaxed);
                             for (i, r) in miss_idx.into_iter().zip(rs) {
                                 if let (Some(st), Some(key)) = (store.as_deref(), &keys[i]) {
                                     store_misses.fetch_add(1, Ordering::Relaxed);
@@ -731,6 +750,8 @@ fn run_sweep_inner(
         recorded: recorded.load(Ordering::Relaxed),
         store_hits: store_hits.load(Ordering::Relaxed),
         store_misses: store_misses.load(Ordering::Relaxed),
+        forks: forks.load(Ordering::Relaxed),
+        cycles_shared: cycles_shared.load(Ordering::Relaxed),
     };
     (SweepResults { cells }, telemetry)
 }

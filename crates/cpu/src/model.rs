@@ -122,7 +122,7 @@ pub struct CoreStats {
 }
 
 /// One simulated core.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CoreModel {
     cfg: CoreConfig,
     stats: CoreStats,

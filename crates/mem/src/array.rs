@@ -96,6 +96,19 @@ impl<M: LineMeta> SetAssocArray<M> {
         }
     }
 
+    /// A copy of this array (contents, LRU stamps) with every column
+    /// checked out of `arena`.
+    pub fn clone_in(&self, arena: &mut BankArena) -> Self {
+        Self {
+            geom: self.geom,
+            tags: arena.copy_u64(&self.tags),
+            lru: arena.copy_u64(&self.lru),
+            meta: arena.copy_u8(&self.meta),
+            stamp: self.stamp,
+            _marker: PhantomData,
+        }
+    }
+
     /// Return the arena-backed columns (the array becomes empty).
     pub fn release_into(&mut self, arena: &mut BankArena) {
         arena.give_u64(std::mem::take(&mut self.tags));

@@ -212,6 +212,23 @@ impl LineStateBank {
         self.powered_count = 0;
     }
 
+    /// Overwrite the powered column and its on-time accounting with
+    /// `src`'s, leaving the decay columns (armed, live, counters) as
+    /// they are. A decay configuration that rode another cache's
+    /// timing takes over that cache's power state this way when it
+    /// forks into its own simulation: until its first possible
+    /// turn-off, gating is identical across decay intervals.
+    ///
+    /// # Panics
+    /// Panics if the banks cover different line counts.
+    pub fn copy_power_from(&mut self, src: &LineStateBank) {
+        assert_eq!(self.lines, src.lines, "power state copies between equal geometries");
+        self.powered.words.copy_from_slice(&src.powered.words);
+        self.powered_since.copy_from_slice(&src.powered_since);
+        self.on_cycles.copy_from_slice(&src.on_cycles);
+        self.powered_count = src.powered_count;
+    }
+
     /// Number of line slots covered.
     #[inline]
     pub fn lines(&self) -> usize {
@@ -458,6 +475,25 @@ impl BankArena {
             None => (Vec::with_capacity(cap), false),
         };
         self.note(reused);
+        v
+    }
+
+    /// Check out a `u64` buffer holding a copy of `src` — a cache fork
+    /// clones its columns into pooled storage instead of allocating.
+    pub fn copy_u64(&mut self, src: &[u64]) -> Vec<u64> {
+        let (mut v, reused) = match checkout(&mut self.u64_pool, src.len()) {
+            Some(v) => (v, true),
+            None => (Vec::with_capacity(src.len()), false),
+        };
+        v.extend_from_slice(src);
+        self.note(reused);
+        v
+    }
+
+    /// Check out a `u8` buffer holding a copy of `src`.
+    pub fn copy_u8(&mut self, src: &[u8]) -> Vec<u8> {
+        let mut v = self.take_u8_empty(src.len());
+        v.extend_from_slice(src);
         v
     }
 

@@ -40,6 +40,6 @@ pub use addr::{Geometry, LineAddr};
 pub use array::{LineView, LookupOutcome, SetAssocArray};
 pub use bank::{ArenaStats, BankArena, BitSet, LineStateBank};
 pub use decay::{DecayBank, DecayConfig, DecayStats};
-pub use mshr::{Mshr, MshrAlloc, MshrEntry};
+pub use mshr::{Mshr, MshrAlloc, MshrCompleted, MshrEntry};
 pub use shadow::ShadowTags;
 pub use write_buffer::{WriteBuffer, WriteBufferStats};

@@ -16,7 +16,9 @@ use crate::addr::LineAddr;
 pub struct MshrEntry<T> {
     /// The missing line.
     pub line: LineAddr,
-    /// Requests to wake when the fill arrives.
+    /// Requests to wake when the fill arrives, in merge order. The
+    /// storage is checked out of the MSHR's pool with room for
+    /// `max_targets`, so merging never allocates.
     pub targets: Vec<T>,
     /// Whether the miss has been granted the bus / sent downstream yet.
     pub issued: bool,
@@ -37,14 +39,52 @@ pub enum MshrAlloc {
     Full,
 }
 
+/// The flags of an entry retired by [`Mshr::complete`] (its targets go
+/// to the caller's buffer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MshrCompleted {
+    /// Whether the miss had been issued downstream.
+    pub issued: bool,
+    /// Whether the miss required exclusive ownership.
+    pub exclusive: bool,
+}
+
 /// A small fully-associative MSHR file.
-#[derive(Debug, Clone)]
+///
+/// Target storage is bounded and pooled: `capacity` target buffers of
+/// `max_targets` slots each are reserved at construction and cycle
+/// between the live entries and a spare list, so a primary miss, a
+/// merge and a completion allocate nothing.
+#[derive(Debug)]
 pub struct Mshr<T> {
     entries: Vec<MshrEntry<T>>,
+    /// Empty target buffers, each with room for `max_targets`.
+    spare: Vec<Vec<T>>,
     capacity: usize,
     max_targets: usize,
     /// Peak simultaneous occupancy, for reporting.
     peak: usize,
+}
+
+impl<T: Clone> Clone for Mshr<T> {
+    /// A deep copy whose spare target buffers keep their reserved room
+    /// (a derived clone would hand back zero-capacity spares).
+    fn clone(&self) -> Self {
+        let mut entries = Vec::with_capacity(self.capacity);
+        for e in &self.entries {
+            let mut targets = Vec::with_capacity(self.max_targets);
+            targets.extend_from_slice(&e.targets);
+            entries.push(MshrEntry { targets, ..*e });
+        }
+        let spare = (0..self.spare.len()).map(|_| Vec::with_capacity(self.max_targets)).collect();
+        Self {
+            entries,
+            spare,
+            capacity: self.capacity,
+            max_targets: self.max_targets,
+            peak: self.peak,
+        }
+    }
 }
 
 impl<T> Mshr<T> {
@@ -52,7 +92,13 @@ impl<T> Mshr<T> {
     /// merged requests.
     pub fn new(capacity: usize, max_targets: usize) -> Self {
         assert!(capacity > 0 && max_targets > 0);
-        Self { entries: Vec::with_capacity(capacity), capacity, max_targets, peak: 0 }
+        Self {
+            entries: Vec::with_capacity(capacity),
+            spare: (0..capacity).map(|_| Vec::with_capacity(max_targets)).collect(),
+            capacity,
+            max_targets,
+            peak: 0,
+        }
     }
 
     /// Entries currently in flight.
@@ -119,7 +165,10 @@ impl<T> Mshr<T> {
         if self.is_full() {
             return MshrAlloc::Full;
         }
-        self.entries.push(MshrEntry { line, targets: vec![target], issued: false, exclusive });
+        // One spare per entry slot: a free slot always has its buffer.
+        let mut targets = self.spare.pop().unwrap_or_default();
+        targets.push(target);
+        self.entries.push(MshrEntry { line, targets, issued: false, exclusive });
         self.peak = self.peak.max(self.entries.len());
         MshrAlloc::Primary
     }
@@ -136,10 +185,15 @@ impl<T> Mshr<T> {
         self.entries.iter().find(|e| !e.issued)
     }
 
-    /// The fill for `line` arrived: remove and return its entry.
-    pub fn complete(&mut self, line: LineAddr) -> Option<MshrEntry<T>> {
+    /// The fill for `line` arrived: remove its entry, append its targets
+    /// to `out` in merge order and return the entry's flags. The entry's
+    /// target buffer goes back to the spare pool.
+    pub fn complete(&mut self, line: LineAddr, out: &mut Vec<T>) -> Option<MshrCompleted> {
         let idx = self.entries.iter().position(|e| e.line == line)?;
-        Some(self.entries.remove(idx))
+        let mut e = self.entries.remove(idx);
+        out.append(&mut e.targets);
+        self.spare.push(e.targets);
+        Some(MshrCompleted { issued: e.issued, exclusive: e.exclusive })
     }
 }
 
@@ -154,8 +208,9 @@ mod tests {
         assert_eq!(m.allocate(l, 1, false), MshrAlloc::Primary);
         assert_eq!(m.allocate(l, 2, false), MshrAlloc::Secondary);
         assert_eq!(m.len(), 1);
-        let e = m.complete(l).unwrap();
-        assert_eq!(e.targets, vec![1, 2]);
+        let mut out = Vec::new();
+        m.complete(l, &mut out).unwrap();
+        assert_eq!(out, vec![1, 2]);
         assert!(m.is_empty());
     }
 
@@ -198,12 +253,35 @@ mod tests {
     }
 
     #[test]
+    fn target_buffers_cycle_through_the_pool_without_reallocating() {
+        let mut m: Mshr<u32> = Mshr::new(2, 3);
+        let mut out = Vec::with_capacity(3);
+        for round in 0..4u32 {
+            m.allocate(LineAddr(1), round, false);
+            m.allocate(LineAddr(1), round + 10, false);
+            let buf = m.get(LineAddr(1)).unwrap().targets.as_ptr();
+            out.clear();
+            m.complete(LineAddr(1), &mut out).unwrap();
+            assert_eq!(out, vec![round, round + 10]);
+            m.allocate(LineAddr(2), round, false);
+            assert_eq!(
+                m.get(LineAddr(2)).unwrap().targets.as_ptr(),
+                buf,
+                "a completed entry's buffer serves the next primary miss"
+            );
+            m.complete(LineAddr(2), &mut out).unwrap();
+        }
+        let copy = m.clone();
+        assert!(copy.spare.iter().all(|v| v.capacity() >= 3), "clones keep reserved room");
+    }
+
+    #[test]
     fn peak_tracks_high_water_mark() {
         let mut m: Mshr<u8> = Mshr::new(4, 4);
         m.allocate(LineAddr(1), 0, false);
         m.allocate(LineAddr(2), 0, false);
-        m.complete(LineAddr(1));
-        m.complete(LineAddr(2));
+        m.complete(LineAddr(1), &mut Vec::new());
+        m.complete(LineAddr(2), &mut Vec::new());
         assert_eq!(m.peak(), 2);
         assert!(m.is_empty());
     }

@@ -48,6 +48,11 @@ impl ShadowTags {
         Self { tags: SetAssocArray::new_in(geom, arena) }
     }
 
+    /// A copy of this directory with its columns checked out of `arena`.
+    pub fn clone_in(&self, arena: &mut BankArena) -> Self {
+        Self { tags: self.tags.clone_in(arena) }
+    }
+
     /// Return the arena-backed columns.
     pub fn release_into(&mut self, arena: &mut BankArena) {
         self.tags.release_into(arena);

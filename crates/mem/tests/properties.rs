@@ -198,8 +198,9 @@ proptest! {
         }
         let lines: Vec<u64> = expected.keys().copied().collect();
         for line in lines {
-            if let Some(entry) = mshr.complete(LineAddr(line)) {
-                prop_assert_eq!(&entry.targets, expected.get(&line).unwrap());
+            let mut got = Vec::new();
+            if mshr.complete(LineAddr(line), &mut got).is_some() {
+                prop_assert_eq!(&got, expected.get(&line).unwrap());
             }
         }
         prop_assert!(mshr.is_empty());
@@ -354,12 +355,16 @@ proptest! {
         prop_assert!(mshr.peek_unissued().is_none());
         // Complete in reverse order: targets and exclusivity intact.
         for line in order.iter().rev() {
-            let e = mshr.complete(LineAddr(*line)).expect("entry present");
-            prop_assert_eq!(&e.targets, targets.get(line).unwrap());
+            let mut got = Vec::new();
+            let e = mshr.complete(LineAddr(*line), &mut got).expect("entry present");
+            prop_assert_eq!(&got, targets.get(line).unwrap());
             prop_assert_eq!(e.exclusive, exclusive[line], "exclusivity must be sticky");
             prop_assert!(e.issued);
         }
         prop_assert!(mshr.is_empty());
-        prop_assert!(mshr.complete(LineAddr(0)).is_none(), "double complete is None");
+        prop_assert!(
+            mshr.complete(LineAddr(0), &mut Vec::new()).is_none(),
+            "double complete is None"
+        );
     }
 }

@@ -2,7 +2,7 @@
 
 use cmpleak_coherence::Technique;
 use cmpleak_cpu::CoreConfig;
-use cmpleak_mem::Geometry;
+use cmpleak_mem::{DecayConfig, Geometry};
 
 /// Private L1 data cache parameters. The L1 is write-through,
 /// no-write-allocate, with a coalescing write buffer toward the L2.
@@ -234,6 +234,28 @@ impl CmpConfig {
         cfg
     }
 
+    /// Whether `self` and `other` simulate identical cycles up to the
+    /// first decay turn-off: both run decay techniques (the same 1-cycle
+    /// access penalty, the same gating of cold and invalidated lines)
+    /// and agree on everything but the decay interval and arming policy.
+    /// The lane engine runs such configurations as one timing class.
+    pub fn shares_decay_prefix(&self, other: &CmpConfig) -> bool {
+        self.technique.has_decay_logic()
+            && other.technique.has_decay_logic()
+            && CmpConfig { technique: other.technique, ..*self } == *other
+    }
+
+    /// The first cycle at which this configuration can turn a line off
+    /// by decay — the `2^counter_bits`-th global tick — or `None`
+    /// without decay logic. Before it, no decay configuration's run
+    /// depends on its interval or arming policy.
+    pub fn first_decay_turnoff(&self) -> Option<u64> {
+        self.technique.decay_cycles().map(|decay_cycles| {
+            let d = DecayConfig { decay_cycles, counter_bits: self.l2.decay_counter_bits };
+            d.tick_period() * u64::from(d.saturation())
+        })
+    }
+
     /// Total L2 capacity across all private caches.
     pub fn total_l2_bytes(&self) -> usize {
         self.l2.size_bytes * self.n_cores
@@ -264,6 +286,22 @@ mod tests {
         assert_eq!(cfg.l2.size_bytes, 1024 * 1024);
         assert_eq!(cfg.total_l2_bytes(), 4 * 1024 * 1024);
         cfg.validate();
+    }
+
+    #[test]
+    fn decay_configs_share_a_prefix_until_their_first_turn_off() {
+        let a = CmpConfig::paper_system(1, Technique::Decay { decay_cycles: 512 * 1024 });
+        let b = CmpConfig { technique: Technique::SelectiveDecay { decay_cycles: 65536 }, ..a };
+        assert!(a.shares_decay_prefix(&b) && b.shares_decay_prefix(&a));
+        assert_eq!(b.first_decay_turnoff(), Some(65536), "2-bit counters: 4 ticks of 16K");
+        assert_eq!(a.first_decay_turnoff(), Some(512 * 1024));
+        let protocol = CmpConfig { technique: Technique::Protocol, ..a };
+        assert!(!a.shares_decay_prefix(&protocol), "protocol pays no access penalty");
+        assert_eq!(protocol.first_decay_turnoff(), None);
+        let bigger = CmpConfig::paper_system(2, a.technique);
+        assert!(!a.shares_decay_prefix(&bigger), "geometry shapes timing");
+        let tiny = CmpConfig { technique: Technique::Decay { decay_cycles: 3 }, ..a };
+        assert_eq!(tiny.first_decay_turnoff(), Some(4), "the tick period floors at one cycle");
     }
 
     #[test]

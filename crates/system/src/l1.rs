@@ -80,6 +80,12 @@ impl L1Cache {
         }
     }
 
+    /// A copy of this cache (tags, in-flight misses, statistics) with
+    /// its tag columns checked out of `arena`.
+    pub fn clone_in(&self, arena: &mut BankArena) -> Self {
+        Self { tags: self.tags.clone_in(arena), mshr: self.mshr.clone(), stats: self.stats }
+    }
+
     /// Hand the tag columns back to `arena`; the cache must not be used
     /// afterwards (statistics remain readable).
     pub fn release_storage(&mut self, arena: &mut BankArena) {
@@ -153,23 +159,22 @@ impl L1Cache {
         }
     }
 
-    /// Install `line` (fill from L2) and complete its waiting loads.
-    /// Returns the completed loads and the line evicted to make room (the
-    /// system clears the L2's `in_l1` bookkeeping for it).
-    pub fn fill(&mut self, line: LineAddr) -> (Vec<PendingLoad>, Option<LineAddr>) {
-        let waiting = self.mshr.complete(line).map(|e| e.targets).unwrap_or_default();
+    /// Install `line` (fill from L2) and complete its waiting loads,
+    /// appending them to `waiting`. Returns the line evicted to make
+    /// room (the system clears the L2's `in_l1` bookkeeping for it).
+    pub fn fill(&mut self, line: LineAddr, waiting: &mut Vec<PendingLoad>) -> Option<LineAddr> {
+        self.mshr.complete(line, waiting);
         // A back-invalidation may have raced ahead of this fill and the
         // line may be re-requested later; installing is still correct
         // because the L2 fill that produced this callback installed the
         // line at L2 first (inclusion holds at delivery time).
-        let evicted = match self.tags.probe(line) {
+        match self.tags.probe(line) {
             LookupOutcome::Hit(_) => None,
             LookupOutcome::Miss => {
                 let v = self.tags.victim(line);
                 self.tags.fill(v, line, L1Meta { valid: true }).map(|(t, _)| t)
             }
-        };
-        (waiting, evicted)
+        }
     }
 
     /// Back-invalidation from the L2 (inclusion). Returns whether the
@@ -192,9 +197,9 @@ impl L1Cache {
     /// Complete the waiting loads for `line` without installing it (used
     /// when the line vanished from the L2 between the response and its
     /// delivery — the data is forwarded but not cached, preserving
-    /// inclusion).
-    pub fn complete_without_install(&mut self, line: LineAddr) -> Vec<PendingLoad> {
-        self.mshr.complete(line).map(|e| e.targets).unwrap_or_default()
+    /// inclusion), appending them to `waiting`.
+    pub fn complete_without_install(&mut self, line: LineAddr, waiting: &mut Vec<PendingLoad>) {
+        self.mshr.complete(line, waiting);
     }
 
     /// Number of in-flight misses (for drain checks).
@@ -229,7 +234,8 @@ mod tests {
         let mut c = l1();
         let line = la(&c, 0x1000);
         assert_eq!(c.access_load(line, P), L1LoadOutcome::MissPrimary);
-        let (waiting, _) = c.fill(line);
+        let mut waiting = Vec::new();
+        c.fill(line, &mut waiting);
         assert_eq!(waiting, vec![P]);
         assert_eq!(c.access_load(line, P), L1LoadOutcome::Hit);
         assert_eq!(c.stats().load_hits, 1);
@@ -248,7 +254,8 @@ mod tests {
             c.access_load(line, PendingLoad { id: 2, issued_at: 6 }),
             L1LoadOutcome::MissSecondary
         );
-        let (waiting, _) = c.fill(line);
+        let mut waiting = Vec::new();
+        c.fill(line, &mut waiting);
         assert_eq!(waiting.len(), 2);
     }
 
@@ -268,7 +275,7 @@ mod tests {
         let line = la(&c, 0x200);
         assert!(!c.access_store(line), "miss: no allocate");
         assert_eq!(c.access_load(line, P), L1LoadOutcome::MissPrimary, "store did not allocate");
-        c.fill(line);
+        c.fill(line, &mut Vec::new());
         assert!(c.access_store(line), "hit after fill");
         assert_eq!(c.stats().stores, 2);
         assert_eq!(c.stats().store_hits, 1);
@@ -279,7 +286,7 @@ mod tests {
         let mut c = l1();
         let line = la(&c, 0x300);
         c.access_load(line, P);
-        c.fill(line);
+        c.fill(line, &mut Vec::new());
         assert!(c.holds(line));
         assert!(c.invalidate(line, true));
         assert!(!c.holds(line));
@@ -297,10 +304,10 @@ mod tests {
         let d = la(&c, 16 * 64); // all set 0
         for line in [a, b] {
             c.access_load(line, P);
-            c.fill(line);
+            c.fill(line, &mut Vec::new());
         }
         c.access_load(d, P);
-        let (_, evicted) = c.fill(d);
+        let evicted = c.fill(d, &mut Vec::new());
         assert_eq!(evicted, Some(a), "LRU line evicted and reported");
     }
 }

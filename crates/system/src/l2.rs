@@ -19,6 +19,19 @@
 //! The cache is passive: `cmpleak-system` drives it and routes the
 //! [`SideEffects`] each call emits (write-backs to the bus, upper-level
 //! invalidations to the L1, Grant timers to the event queue).
+//!
+//! # Riders
+//!
+//! Decay configurations that differ only in interval or arming policy
+//! simulate identical cycles until the first decay turn-off (every
+//! decay technique pays the same access penalty and gates the same cold
+//! and invalidated lines). A cache can therefore carry **riders**: extra
+//! decay bookkeeping (clock, counter column, armed/live bits,
+//! [`DecayStats`](cmpleak_mem::DecayStats)) for another configuration,
+//! updated on every access, fill and state change of the cache it rides.
+//! A rider never turns a line off while attached — the lane engine
+//! forks it into its own cache ([`L2Cache::fork_rider`]) at the cycle
+//! boundary before its first possible turn-off.
 
 use crate::config::L2Config;
 use crate::stats::L2Stats;
@@ -175,6 +188,27 @@ impl SideEffects {
     }
 }
 
+/// Decay bookkeeping of a rider configuration (see the module docs,
+/// "Riders"): its own clock and counter/armed/live columns, driven by
+/// the hooks of the cache it rides. The bank's power columns stay
+/// unused until the fork copies the carrier's into them.
+#[derive(Debug)]
+struct DecayRider {
+    technique: Technique,
+    decay: DecayBank,
+    state: LineStateBank,
+}
+
+/// Apply `technique`'s arming rule for a line entering `state` to
+/// `slot`'s armed bit in `bank`.
+fn arm_on_enter(technique: Technique, bank: &mut LineStateBank, slot: usize, state: MesiState) {
+    match technique.arming_on_enter(state) {
+        DecayArming::Arm => bank.arm(slot),
+        DecayArming::Disarm => bank.disarm(slot),
+        DecayArming::Unchanged => {}
+    }
+}
+
 /// One private L2 cache.
 #[derive(Debug)]
 pub struct L2Cache {
@@ -193,7 +227,11 @@ pub struct L2Cache {
     /// Turn-offs that had to wait (transient line / pending write).
     deferred_turnoffs: Vec<usize>,
     stats: L2Stats,
-    decay_scratch: Vec<usize>,
+    /// Reused buffer for the targets of a completing miss.
+    targets: Vec<L2Target>,
+    /// Decay configurations riding this cache's timing (empty except on
+    /// a lane group's trunk).
+    riders: Vec<DecayRider>,
 }
 
 impl L2Cache {
@@ -231,13 +269,69 @@ impl L2Cache {
             state,
             deferred_turnoffs: Vec::new(),
             stats: L2Stats::default(),
-            decay_scratch: Vec::new(),
+            targets: Vec::new(),
+            riders: Vec::new(),
         }
+    }
+
+    /// Attach a rider: decay bookkeeping for `technique`, whose columns
+    /// are checked out of `arena`. Must happen before the cache sees
+    /// any access.
+    ///
+    /// # Panics
+    /// Panics unless both this cache's technique and `technique` have
+    /// decay logic (only those share timing up to the first turn-off).
+    pub fn attach_rider(&mut self, technique: Technique, arena: &mut BankArena) {
+        assert!(
+            self.decay.is_some() && technique.has_decay_logic(),
+            "riders and their carrier must both be decay configurations"
+        );
+        let decay = DecayBank::new(DecayConfig {
+            decay_cycles: technique.decay_cycles().unwrap_or_default(),
+            counter_bits: self.cfg.decay_counter_bits,
+        });
+        let state = LineStateBank::new_in(self.geometry().lines(), arena);
+        self.riders.push(DecayRider { technique, decay, state });
+    }
+
+    /// Detach rider `i` into a cache of its own: this cache's tags,
+    /// in-flight misses, shadow directory, power state and statistics,
+    /// with the rider's technique and decay bookkeeping swapped in. The
+    /// copied columns are checked out of `arena`. Exact only before the
+    /// rider's first possible turn-off (its bookkeeping can have raised
+    /// no decay yet).
+    pub fn fork_rider(&mut self, i: usize, arena: &mut BankArena) -> L2Cache {
+        let DecayRider { technique, decay, mut state } = self.riders.remove(i);
+        state.copy_power_from(&self.state);
+        L2Cache {
+            cfg: self.cfg,
+            technique,
+            tags: self.tags.clone_in(arena),
+            mshr: self.mshr.clone(),
+            flags: self.flags.clone(),
+            decay: Some(decay),
+            shadow: self.shadow.as_ref().map(|sh| sh.clone_in(arena)),
+            state,
+            deferred_turnoffs: self.deferred_turnoffs.clone(),
+            stats: self.stats,
+            targets: Vec::new(),
+            riders: Vec::new(),
+        }
+    }
+
+    /// Decay-counter events (increments + resets) of rider `i` so far —
+    /// its share of the interval trace's `decay_counter_events`.
+    pub fn rider_decay_events(&self, i: usize) -> u64 {
+        let d = self.riders[i].decay.stats();
+        d.increments + d.resets
     }
 
     /// Hand the per-line columns back to `arena`. The cache must not be
     /// used afterwards (statistics remain readable).
     pub fn release_storage(&mut self, arena: &mut BankArena) {
+        for mut r in self.riders.drain(..) {
+            r.state.release_into(arena);
+        }
         self.state.release_into(arena);
         self.tags.release_into(arena);
         if let Some(sh) = self.shadow.as_mut() {
@@ -347,36 +441,57 @@ impl L2Cache {
         if let Some(d) = self.decay.as_mut() {
             d.on_access(&mut self.state, slot);
         }
+        for r in &mut self.riders {
+            r.decay.on_access(&mut r.state, slot);
+        }
     }
 
     fn apply_arming(&mut self, slot: usize, state: MesiState) {
         if self.decay.is_some() {
-            match self.technique.arming_on_enter(state) {
-                DecayArming::Arm => self.state.arm(slot),
-                DecayArming::Disarm => self.state.disarm(slot),
-                DecayArming::Unchanged => {}
-            }
+            arm_on_enter(self.technique, &mut self.state, slot, state);
+        }
+        for r in &mut self.riders {
+            arm_on_enter(r.technique, &mut r.state, slot, state);
         }
     }
 
-    /// Advance the decay clock to `now`, returning slots whose lines
-    /// decayed this call. The system feeds them to [`L2Cache::turn_off`]
-    /// with the pending-write context. Coarse advances apply all due
-    /// ticks in closed form ([`DecayBank::advance_to`]) with per-tick
-    /// semantics.
-    pub fn take_decayed(&mut self, now: u64) -> Vec<usize> {
-        self.decay_scratch.clear();
+    fn decay_line_off(&mut self, slot: usize) {
         if let Some(d) = self.decay.as_mut() {
-            d.advance_to(&mut self.state, now, &mut self.decay_scratch);
+            d.on_line_off(&mut self.state, slot);
         }
-        std::mem::take(&mut self.decay_scratch)
+        for r in &mut self.riders {
+            r.decay.on_line_off(&mut r.state, slot);
+        }
     }
 
-    /// Cycle of the next global decay tick, if this cache decays at all.
-    /// A wakeup source for the quiescence-skipping kernel: between ticks
-    /// an otherwise-idle cache has no decay activity to simulate.
+    /// Advance the decay clock to `now`, appending the slots whose lines
+    /// decayed to `decayed`. The system feeds them to
+    /// [`L2Cache::turn_off`] with the pending-write context. Coarse
+    /// advances apply all due ticks in closed form
+    /// ([`DecayBank::advance_to`]) with per-tick semantics. Riders'
+    /// clocks advance too; they cannot decay a line while attached.
+    pub fn take_decayed(&mut self, now: u64, decayed: &mut Vec<usize>) {
+        if let Some(d) = self.decay.as_mut() {
+            d.advance_to(&mut self.state, now, decayed);
+        }
+        let before = decayed.len();
+        for r in &mut self.riders {
+            r.decay.advance_to(&mut r.state, now, decayed);
+        }
+        assert_eq!(decayed.len(), before, "a rider reached a turn-off before forking");
+    }
+
+    /// Cycle of the next global decay tick, if this cache decays at all —
+    /// over its own clock and every rider's, so riders' ticks are
+    /// processed on their own cycles. A wakeup source for the
+    /// quiescence-skipping kernel: between ticks an otherwise-idle cache
+    /// has no decay activity to simulate.
     pub fn next_decay_deadline(&self) -> Option<u64> {
-        self.decay.as_ref().map(|d| d.next_tick_at())
+        let own = self.decay.as_ref().map(|d| d.next_tick_at());
+        self.riders
+            .iter()
+            .map(|r| r.decay.next_tick_at())
+            .fold(own, |acc, t| Some(acc.map_or(t, |a| a.min(t))))
     }
 
     /// Whether deferred turn-offs are waiting to be retried (they retry
@@ -385,9 +500,10 @@ impl L2Cache {
         !self.deferred_turnoffs.is_empty()
     }
 
-    /// Deferred turn-offs to retry (drains the internal list).
-    pub fn take_deferred_turnoffs(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.deferred_turnoffs)
+    /// Move the deferred turn-offs to retry into `out` (both buffers
+    /// keep their capacity).
+    pub fn drain_deferred_turnoffs(&mut self, out: &mut Vec<usize>) {
+        out.append(&mut self.deferred_turnoffs);
     }
 
     /// Line address currently held by `slot`, if valid.
@@ -420,9 +536,7 @@ impl L2Cache {
         if let Some(next) = t.next {
             if next == MesiState::Invalid {
                 self.tags.invalidate(slot);
-                if let Some(d) = self.decay.as_mut() {
-                    d.on_line_off(&mut self.state, slot);
-                }
+                self.decay_line_off(slot);
                 if t.protocol_invalidation {
                     self.stats.snoop_invalidations += 1;
                     if let Some(sh) = self.shadow.as_mut() {
@@ -681,6 +795,7 @@ impl L2Cache {
             return;
         }
         let ctx = SnoopContext { upper_has_copy: l.meta.in_l1, pending_write: false };
+        debug_assert!(self.riders.is_empty(), "riders fork before their carrier's first turn-off");
         if state == MesiState::Modified {
             self.stats.dirty_decay_turnoffs += 1;
         }
@@ -708,7 +823,8 @@ impl L2Cache {
                 self.tags.touch(slot);
                 let _ = now;
                 // Entry done: waiting stores are satisfied by ownership.
-                self.mshr.complete(line);
+                self.mshr.complete(line, &mut self.targets);
+                self.targets.clear();
                 self.clear_flags(line);
                 UpgradeResult::Done
             }
@@ -729,13 +845,14 @@ impl L2Cache {
         now: u64,
         fx: &mut SideEffects,
     ) -> (u32, u32, bool) {
-        let Some(entry) = self.mshr.complete(line) else {
+        self.targets.clear();
+        let Some(entry) = self.mshr.complete(line, &mut self.targets) else {
             return (0, 0, false);
         };
         let flags = self.take_flags(line);
         let mut reads = 0u32;
         let mut writes = 0u32;
-        for t in &entry.targets {
+        for t in &self.targets {
             match t {
                 L2Target::Read => reads += 1,
                 L2Target::Write => writes += 1,
@@ -881,6 +998,18 @@ mod tests {
         assert!(installed);
     }
 
+    fn decayed_at(c: &mut L2Cache, now: u64) -> Vec<usize> {
+        let mut v = Vec::new();
+        c.take_decayed(now, &mut v);
+        v
+    }
+
+    fn deferred_of(c: &mut L2Cache) -> Vec<usize> {
+        let mut v = Vec::new();
+        c.drain_deferred_turnoffs(&mut v);
+        v
+    }
+
     const L: LineAddr = LineAddr(0x100);
 
     #[test]
@@ -1015,7 +1144,7 @@ mod tests {
         let mut c = l2(Technique::Decay { decay_cycles: 1024 });
         fill_line(&mut c, L, false, 0);
         assert_eq!(c.powered_lines(), 1);
-        let decayed = c.take_decayed(1024);
+        let decayed = decayed_at(&mut c, 1024);
         assert_eq!(decayed.len(), 1);
         let fx = &mut SideEffects::default();
         c.turn_off(decayed[0], 1024, false, fx);
@@ -1029,7 +1158,7 @@ mod tests {
     fn decay_of_modified_line_writes_back() {
         let mut c = l2(Technique::Decay { decay_cycles: 1024 });
         fill_line(&mut c, L, true, 0);
-        let decayed = c.take_decayed(1024);
+        let decayed = decayed_at(&mut c, 1024);
         let fx = &mut SideEffects::default();
         c.turn_off(decayed[0], 1024, false, fx);
         assert_eq!(fx.writebacks, vec![L]);
@@ -1042,7 +1171,7 @@ mod tests {
         let mut c = l2(Technique::Decay { decay_cycles: 1024 });
         fill_line(&mut c, L, true, 0);
         c.set_in_l1(L, true);
-        let decayed = c.take_decayed(1024);
+        let decayed = decayed_at(&mut c, 1024);
         let fx = &mut SideEffects::default();
         c.turn_off(decayed[0], 1024, false, fx);
         assert_eq!(fx.upper_invals, vec![(L, true)], "technique-induced L1 invalidation");
@@ -1058,12 +1187,12 @@ mod tests {
     fn selective_decay_never_decays_modified_lines() {
         let mut c = l2(Technique::SelectiveDecay { decay_cycles: 1024 });
         fill_line(&mut c, L, true, 0); // fills Modified -> disarmed
-        assert!(c.take_decayed(100 * 1024).is_empty(), "M lines are disarmed");
+        assert!(decayed_at(&mut c, 100 * 1024).is_empty(), "M lines are disarmed");
         // A snoop read demotes to Shared -> rearmed.
         let fx = &mut SideEffects::default();
         c.snoop(L, SnoopKind::BusRd, 200 * 1024, fx);
         assert_eq!(c.state_of(L), Some(MesiState::Shared));
-        let decayed = c.take_decayed(202 * 1024);
+        let decayed = decayed_at(&mut c, 202 * 1024);
         assert_eq!(decayed.len(), 1, "S line decays after rearm");
     }
 
@@ -1071,12 +1200,12 @@ mod tests {
     fn pending_write_defers_turn_off() {
         let mut c = l2(Technique::Decay { decay_cycles: 1024 });
         fill_line(&mut c, L, false, 0);
-        let decayed = c.take_decayed(1024);
+        let decayed = decayed_at(&mut c, 1024);
         let fx = &mut SideEffects::default();
         c.turn_off(decayed[0], 1024, true, fx);
         assert!(fx.is_empty());
         assert!(c.holds_valid(L), "line survives while a write is pending");
-        let deferred = c.take_deferred_turnoffs();
+        let deferred = deferred_of(&mut c);
         assert_eq!(deferred.len(), 1);
         // Retry without the pending write: now it gates.
         c.turn_off(deferred[0], 1100, false, fx);
@@ -1087,11 +1216,11 @@ mod tests {
     fn deferred_turn_off_dropped_after_reaccess() {
         let mut c = l2(Technique::Decay { decay_cycles: 1024 });
         fill_line(&mut c, L, false, 0);
-        let decayed = c.take_decayed(1024);
+        let decayed = decayed_at(&mut c, 1024);
         let fx = &mut SideEffects::default();
         c.turn_off(decayed[0], 1024, true, fx); // deferred
         assert_eq!(c.probe_read(L), L2ReadOutcome::Hit); // reset counter
-        let deferred = c.take_deferred_turnoffs();
+        let deferred = deferred_of(&mut c);
         c.turn_off(deferred[0], 1100, false, fx);
         assert!(c.holds_valid(L), "re-accessed line must not be gated");
     }
@@ -1158,7 +1287,7 @@ mod tests {
     fn occupation_accounting_integrates_on_time() {
         let mut c = l2(Technique::Decay { decay_cycles: 1024 });
         fill_line(&mut c, L, false, 100);
-        let decayed = c.take_decayed(1024 + 100);
+        let decayed = decayed_at(&mut c, 1024 + 100);
         let fx = &mut SideEffects::default();
         for slot in decayed {
             c.turn_off(slot, 1124, false, fx);
@@ -1171,7 +1300,7 @@ mod tests {
     fn induced_misses_detected_via_shadow() {
         let mut c = l2(Technique::Decay { decay_cycles: 1024 });
         fill_line(&mut c, L, false, 0);
-        let decayed = c.take_decayed(1024);
+        let decayed = decayed_at(&mut c, 1024);
         let fx = &mut SideEffects::default();
         for slot in decayed {
             c.turn_off(slot, 1024, false, fx);
@@ -1180,6 +1309,45 @@ mod tests {
         assert_eq!(c.probe_read(L), L2ReadOutcome::MissPrimary);
         assert_eq!(c.stats().induced_misses, 1);
         assert_eq!(c.stats().misses, 2, "cold miss + induced miss");
+    }
+
+    #[test]
+    fn forked_rider_equals_a_cache_that_ran_alone() {
+        // Trunk decays at 16384 (ticks every 4096), the rider at 1024
+        // under selective decay (ticks every 256, first turn-off at
+        // 1024). Drive both the trunk (carrying the rider) and a solo
+        // rider cache through the same accesses up to the rider's fork,
+        // then compare.
+        let mut trunk = l2(Technique::Decay { decay_cycles: 16384 });
+        let rider_tech = Technique::SelectiveDecay { decay_cycles: 1024 };
+        trunk.attach_rider(rider_tech, &mut BankArena::default());
+        let mut solo = l2(rider_tech);
+        let lines = [LineAddr(0x100), LineAddr(0x141), LineAddr(0x182)];
+        let fx = &mut SideEffects::default();
+        let mut scratch = Vec::new();
+        for c in [&mut trunk, &mut solo] {
+            fill_line(c, lines[0], false, 10);
+            fill_line(c, lines[1], true, 20); // Modified: selective decay disarms
+            c.take_decayed(256, &mut scratch);
+            fill_line(c, lines[2], false, 300);
+            c.snoop(lines[1], SnoopKind::BusRd, 400, fx); // M -> S rearms
+            c.take_decayed(768, &mut scratch);
+            assert_eq!(c.probe_read(lines[0]), L2ReadOutcome::Hit);
+        }
+        assert!(scratch.is_empty(), "nothing decays before the first possible turn-off");
+        assert_eq!(trunk.next_decay_deadline(), Some(1024), "the rider's tick is a deadline");
+        let mut forked = trunk.fork_rider(0, &mut BankArena::default());
+        assert_eq!(trunk.next_decay_deadline(), Some(4096), "the trunk ticks alone afterwards");
+        assert_eq!(forked.decay_stats(), solo.decay_stats());
+        assert_eq!(forked.powered_lines(), solo.powered_lines());
+        assert_eq!(forked.stats(), solo.stats());
+        for &l in &lines {
+            assert_eq!(forked.state_of(l), solo.state_of(l));
+        }
+        for now in [1024, 2048, 3072, 4096] {
+            assert_eq!(decayed_at(&mut forked, now), decayed_at(&mut solo, now), "tick at {now}");
+        }
+        assert_eq!(forked.finish_on_cycles(5000), solo.finish_on_cycles(5000));
     }
 
     #[test]

@@ -22,18 +22,41 @@
 //! margin of the window's end before pausing. Each lane's
 //! quiescence-skip kernel operates unchanged within its segments.
 //!
+//! # Timing classes: trunks, riders and forks
+//!
+//! Decay configurations that differ only in decay interval or arming
+//! policy ([`CmpConfig::shares_decay_prefix`]) simulate exactly the
+//! same cycles until the first decay turn-off, and no line can turn off
+//! before a configuration's `2^counter_bits`-th decay tick
+//! ([`CmpConfig::first_decay_turnoff`]). A group's members of one such
+//! class therefore run as **one trunk lane** — the member with the
+//! largest interval, whose first possible turn-off comes last — and
+//! the others **ride** it: the trunk's L2s carry their decay
+//! bookkeeping ([`CmpSystem::attach_rider`]). At the cycle boundary
+//! before a rider's first possible turn-off the trunk pauses, the rider
+//! **forks** into its own lane slot ([`CmpSystem::fork_rider`], copying
+//! into that slot's pools) and continues as an ordinary lane from the
+//! trunk's read positions. A rider still attached when the trunk
+//! completes forks at the end (its cell never turned a line off). The
+//! shared prefix is simulated once instead of once per member; the
+//! counters are in [`LaneScratch::forks`] and
+//! [`LaneScratch::cycles_shared`].
+//!
 //! # Bit-identity
 //!
 //! A lane's cycle sequence is exactly the sequential run's: segment
 //! pauses land between cycles and consume nothing, the window filters
 //! only `Exec(0)` ops (timing- and statistics-neutral by construction,
-//! see [`cmpleak_cpu::lane`]), and per-lane state never aliases. The
+//! see [`cmpleak_cpu::lane`]), and per-lane state never aliases. A
+//! forked rider starts from the state its solo run holds at the fork
+//! boundary: everything but decay bookkeeping is identical across the
+//! class until then, and the decay bookkeeping is the rider's own. The
 //! equivalence is enforced by this module's tests and by
 //! `tests/lane_differential.rs` in `cmpleak-core`.
 
 use crate::config::CmpConfig;
 use crate::stats::SimStats;
-use crate::system::{CmpSystem, SimScratch};
+use crate::system::{CmpSystem, Segment, SimScratch};
 use cmpleak_cpu::{OpSource, OpWindow};
 
 /// Ops buffered ahead of the fastest lane per scheduler round. Segment
@@ -48,10 +71,13 @@ const SEGMENT_TARGET: u64 = 32_768;
 /// Reusable allocation pools for lane groups: one [`SimScratch`] per
 /// lane slot, so every lane of every group reuses the event ring,
 /// queue and line-column allocations of the lane that ran in its slot
-/// before.
+/// before. A rider's decay columns and its fork come out of its own
+/// slot's pools too.
 #[derive(Debug, Default)]
 pub struct LaneScratch {
     sims: Vec<SimScratch>,
+    forks: u64,
+    cycles_shared: u64,
 }
 
 impl LaneScratch {
@@ -60,6 +86,89 @@ impl LaneScratch {
     pub fn sim(&self, lane: usize) -> Option<&SimScratch> {
         self.sims.get(lane)
     }
+
+    /// Riders forked off their trunks so far, over every group run on
+    /// this scratch.
+    pub fn forks(&self) -> u64 {
+        self.forks
+    }
+
+    /// Cycles riders rode their trunks instead of stepping them, over
+    /// every group run on this scratch (each fork adds its cycle).
+    pub fn cycles_shared(&self) -> u64 {
+        self.cycles_shared
+    }
+}
+
+/// A rider still attached to a trunk lane: its lane slot and the
+/// boundary it forks at.
+#[derive(Debug, Clone, Copy)]
+struct Rider {
+    slot: usize,
+    fork_at: u64,
+}
+
+/// One live lane: its system, read positions and attached riders (in
+/// the system's attach order).
+struct Lane {
+    sys: CmpSystem,
+    pos: Vec<u64>,
+    riders: Vec<Rider>,
+    /// The window was last advanced with this lane counted: a segment
+    /// must make progress (a lane forked since can start starved).
+    anchored: bool,
+}
+
+impl Lane {
+    /// Fork every rider due at the trunk's current boundary (all of
+    /// them once `all`) into its own lane slot.
+    fn fork_due(&mut self, all: bool, lanes: &mut [Option<Lane>], scratch: &mut LaneScratch) {
+        let now = self.sys.now();
+        let mut j = 0;
+        while j < self.riders.len() {
+            if !all && self.riders[j].fork_at > now {
+                j += 1;
+                continue;
+            }
+            let Rider { slot, .. } = self.riders.remove(j);
+            let sys = self.sys.fork_rider(j, &mut scratch.sims[slot]);
+            scratch.forks += 1;
+            scratch.cycles_shared += now;
+            lanes[slot] =
+                Some(Lane { sys, pos: self.pos.clone(), riders: Vec::new(), anchored: false });
+        }
+    }
+}
+
+/// For each configuration, the trunk it rides (`Some(trunk)`) or
+/// `None` if it runs as its own lane: within each timing class of two
+/// or more members, the member with the largest decay interval (the
+/// first on ties) is the trunk.
+fn plan_trunks(cfgs: &[CmpConfig]) -> Vec<Option<usize>> {
+    let mut trunk_of: Vec<Option<usize>> = vec![None; cfgs.len()];
+    let mut classed = vec![false; cfgs.len()];
+    for i in 0..cfgs.len() {
+        if classed[i] || !cfgs[i].technique.has_decay_logic() {
+            continue;
+        }
+        let class: Vec<usize> = (i..cfgs.len())
+            .filter(|&j| !classed[j] && cfgs[i].shares_decay_prefix(&cfgs[j]))
+            .collect();
+        let interval = |j: usize| cfgs[j].technique.decay_cycles().unwrap_or_default();
+        let mut trunk = i;
+        for &j in &class {
+            classed[j] = true;
+            if interval(j) > interval(trunk) {
+                trunk = j;
+            }
+        }
+        for &j in &class {
+            if j != trunk {
+                trunk_of[j] = Some(trunk);
+            }
+        }
+    }
+    trunk_of
 }
 
 /// Run one op stream through every configuration in `cfgs` at once and
@@ -101,20 +210,24 @@ pub fn run_lane_group(
         scratch.sims.resize_with(cfgs.len(), SimScratch::default);
     }
 
-    struct Lane {
-        sys: CmpSystem,
-        pos: Vec<u64>,
+    let trunk_of = plan_trunks(cfgs);
+    let mut lanes: Vec<Option<Lane>> = (0..cfgs.len()).map(|_| None).collect();
+    for (i, cfg) in cfgs.iter().enumerate() {
+        if trunk_of[i].is_none() {
+            let sys = CmpSystem::for_window(*cfg, names.clone(), &mut scratch.sims[i]);
+            lanes[i] =
+                Some(Lane { sys, pos: vec![0; n_cores], riders: Vec::new(), anchored: true });
+        }
     }
-    let mut lanes: Vec<Option<Lane>> = cfgs
-        .iter()
-        .zip(scratch.sims.iter_mut())
-        .map(|(cfg, sim)| {
-            Some(Lane {
-                sys: CmpSystem::for_window(*cfg, names.clone(), sim),
-                pos: vec![0; n_cores],
-            })
-        })
-        .collect();
+    for (slot, trunk) in trunk_of.iter().enumerate() {
+        let (Some(trunk), Some(fork_at)) = (*trunk, cfgs[slot].first_decay_turnoff()) else {
+            continue;
+        };
+        if let Some(lane) = lanes[trunk].as_mut() {
+            lane.sys.attach_rider(cfgs[slot], scratch.sims[slot].arena_mut());
+            lane.riders.push(Rider { slot, fork_at });
+        }
+    }
     let mut out: Vec<Option<SimStats>> = (0..cfgs.len()).map(|_| None).collect();
 
     let mut min_pos = vec![0u64; n_cores];
@@ -124,7 +237,8 @@ pub fn run_lane_group(
         // longer anchor the base, so the window keeps sliding.
         min_pos.fill(u64::MAX);
         max_pos.fill(0);
-        for lane in lanes.iter().flatten() {
+        for lane in lanes.iter_mut().flatten() {
+            lane.anchored = true;
             for c in 0..n_cores {
                 min_pos[c] = min_pos[c].min(lane.pos[c]);
                 max_pos[c] = max_pos[c].max(lane.pos[c]);
@@ -132,25 +246,35 @@ pub fn run_lane_group(
         }
         window.advance(&min_pos, &max_pos, SEGMENT_TARGET);
         for i in 0..lanes.len() {
-            let Some(lane) = lanes[i].as_mut() else {
+            let Some(mut lane) = lanes[i].take() else {
                 continue;
             };
             let before = lane.sys.now();
-            let done = lane.sys.run_segment(&window, &mut lane.pos);
-            // After `advance`, every live lane has at least the segment
-            // target buffered on every unfinished core, so a segment
-            // that neither completes nor steps a cycle means the window
-            // contract broke — looping on it would hang the sweep.
+            let done = loop {
+                let limit = lane.riders.iter().map(|r| r.fork_at).min().unwrap_or(u64::MAX);
+                match lane.sys.run_segment(&window, &mut lane.pos, limit) {
+                    Segment::Paused => lane.fork_due(false, &mut lanes, scratch),
+                    Segment::Starved => break false,
+                    Segment::Done => {
+                        lane.fork_due(true, &mut lanes, scratch);
+                        break true;
+                    }
+                }
+            };
+            // After `advance`, every anchored lane has at least the
+            // segment target buffered on every unfinished core, so a
+            // segment that neither completes nor steps a cycle means the
+            // window contract broke — looping on it would hang the sweep.
             assert!(
-                done || lane.sys.now() > before,
+                done || lane.sys.now() > before || !lane.anchored,
                 "lane {i} made no progress in a freshly advanced window"
             );
             if done {
-                // audit:allow(unwrap-in-lib, guarded by the `as_mut` binding above: the slot is occupied in this branch)
-                let mut lane = lanes[i].take().expect("lane is live");
                 let stats = lane.sys.finalize();
                 lane.sys.reclaim_scratch(&mut scratch.sims[i]);
                 out[i] = Some(stats);
+            } else {
+                lanes[i] = Some(lane);
             }
         }
     }

@@ -120,6 +120,20 @@
 //! All three are pure skip-conditions: no statistic, event, or state
 //! transition is deferred past its reference cycle, so bit-identity is
 //! preserved and enforced by the same differential matrix.
+//!
+//! # Riders and forks
+//!
+//! A window-fed system can carry **riders** ([`CmpSystem::attach_rider`]):
+//! decay configurations of its own timing class
+//! ([`CmpConfig::shares_decay_prefix`]) whose decay bookkeeping its L2s
+//! update alongside their own, and whose per-interval decay-counter
+//! events it records at every interval close. Riders' decay ticks are
+//! wakeup sources like the system's own, so each tick is processed on
+//! its cycle. At any cycle boundary before a rider's first possible
+//! turn-off, [`CmpSystem::fork_rider`] copies the whole system into a
+//! system of the rider's own with its decay state swapped in — the state
+//! a solo run of the rider holds at that boundary, so the fork continues
+//! bit-identically.
 
 use crate::bus::{BusReq, BusReqKind, SharedBus};
 use crate::config::{CmpConfig, CycleEngine, MemConfig, SimKernel};
@@ -622,6 +636,23 @@ impl EventQueue {
         self.in_buckets == 0 && self.overflow.is_empty()
     }
 
+    /// Make this queue a copy of `src` (pending events, window and
+    /// cursor), reusing this queue's ring allocations. Occupancy
+    /// counters restart from zero: they count this queue's own pushes.
+    fn copy_from(&mut self, src: &EventQueue) {
+        self.buckets.resize_with(src.buckets.len(), VecDeque::new);
+        for (b, s) in self.buckets.iter_mut().zip(&src.buckets) {
+            b.clear();
+            b.extend(s.iter().copied());
+        }
+        self.occ.clone_from(&src.occ);
+        self.overflow.clone_from(&src.overflow);
+        self.cursor = src.cursor;
+        self.seq = src.seq;
+        self.in_buckets = src.in_buckets;
+        self.stats = EventQueueStats { window: src.stats.window, ..Default::default() };
+    }
+
     /// Monotone push counter: comparing it across a span detects whether
     /// any event was scheduled in between (the working-span batch uses
     /// it to notice its own ticks arming a wakeup). Pops never move it.
@@ -638,7 +669,7 @@ impl EventQueue {
 /// index is a `BTreeMap`, not a `HashMap`: nothing iterates it today,
 /// but simulation state must never hold a structure whose iteration
 /// order could silently leak into results (determinism audit policy).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct RetryQueue {
     queue: VecDeque<LineAddr>,
     members: BTreeMap<LineAddr, u32>,
@@ -800,6 +831,35 @@ impl SimScratch {
     pub fn cycle_profile(&self) -> CycleProfile {
         self.profile
     }
+
+    /// The per-line column pool (rider banks check their columns out of
+    /// their own lane slot's pool).
+    pub(crate) fn arena_mut(&mut self) -> &mut BankArena {
+        &mut self.arena
+    }
+}
+
+/// Why [`CmpSystem::run_segment`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Segment {
+    /// The run completed (drained or hit the cycle cap).
+    Done,
+    /// The next cycle could read past the shared window: refill it.
+    Starved,
+    /// The cycle limit was reached: the system stands at the boundary
+    /// before that cycle.
+    Paused,
+}
+
+/// A rider's system-level bookkeeping while it rides a system (see the
+/// module docs, "Riders and forks").
+#[derive(Debug)]
+struct SystemRider {
+    cfg: CmpConfig,
+    /// The rider's decay-counter events per closed interval.
+    interval_events: Vec<u64>,
+    /// The rider's cumulative decay-counter events at the last close.
+    events_at_close: u64,
 }
 
 /// The simulated CMP.
@@ -894,6 +954,13 @@ pub struct CmpSystem {
     /// The deadline only moves inside `l2_cycle` (`take_decayed` →
     /// `advance_to`), so refreshing it there keeps the cache exact.
     l2_decay_due: Vec<u64>,
+    /// Decay configurations riding this system, in attach order (the
+    /// L2s keep their riders in the same order).
+    riders: Vec<SystemRider>,
+    /// Reused slot list for decayed and deferred turn-offs.
+    slot_buf: Vec<usize>,
+    /// Reused list of the loads a delivered line completes.
+    loads_buf: Vec<PendingLoad>,
 }
 
 impl std::fmt::Debug for CmpSystem {
@@ -1048,9 +1115,122 @@ impl CmpSystem {
             profile: CycleProfile::default(),
             ports_idle: 0,
             l2_decay_due,
+            riders: Vec::new(),
+            slot_buf: Vec::new(),
+            loads_buf: Vec::new(),
             arena,
             cfg,
         }
+    }
+
+    /// Attach `cfg` as a rider (see the module docs, "Riders and
+    /// forks"): every L2 starts decay bookkeeping for its technique,
+    /// with the columns checked out of `arena`. Riders attach before
+    /// the first cycle.
+    ///
+    /// # Panics
+    /// Panics after the first cycle, or unless `cfg` shares this
+    /// system's decay prefix ([`CmpConfig::shares_decay_prefix`]).
+    pub(crate) fn attach_rider(&mut self, cfg: CmpConfig, arena: &mut BankArena) {
+        assert_eq!(self.now, 0, "riders attach before the first cycle");
+        assert!(self.cfg.shares_decay_prefix(&cfg), "a rider must share its carrier's timing");
+        for l2 in &mut self.l2s {
+            l2.attach_rider(cfg.technique, arena);
+        }
+        self.riders.push(SystemRider { cfg, interval_events: Vec::new(), events_at_close: 0 });
+    }
+
+    /// Detach rider `i` into a system of its own, standing at this
+    /// system's cycle boundary: cores, caches, bus, queues, events and
+    /// statistics are copied (queues and per-line columns into
+    /// `scratch`'s pools), the rider's configuration and decay
+    /// bookkeeping replace this system's, and the interval trace
+    /// carries the rider's decay-counter events. Exact only before the
+    /// rider's first possible turn-off
+    /// ([`CmpConfig::first_decay_turnoff`]).
+    ///
+    /// # Panics
+    /// Panics on a system with its own op sources (only window-fed
+    /// systems fork: their read positions live with the caller).
+    pub(crate) fn fork_rider(&mut self, i: usize, scratch: &mut SimScratch) -> CmpSystem {
+        assert!(self.sources.is_empty(), "only window-fed systems fork");
+        if self.worklist {
+            // Settle sleepers so both systems start from plain awake
+            // cores (spurious wakes are harmless).
+            self.wake_all();
+        }
+        let rider = self.riders.remove(i);
+        let mut arena = std::mem::take(&mut scratch.arena);
+        let l1s = self.l1s.iter().map(|l| l.clone_in(&mut arena)).collect();
+        let l2s = self.l2s.iter_mut().map(|l| l.fork_rider(i, &mut arena)).collect();
+        let mut events = std::mem::take(&mut scratch.events);
+        events.copy_from(&self.events);
+        let mut fx = std::mem::take(&mut scratch.fx);
+        fx.clear();
+        let mut read_queues = std::mem::take(&mut scratch.read_queues);
+        read_queues.clone_from(&self.read_queues);
+        let mut write_retries = std::mem::take(&mut scratch.write_retries);
+        write_retries.clone_from(&self.write_retries);
+        let mut trace = self.trace.clone();
+        debug_assert_eq!(trace.len(), rider.interval_events.len());
+        for (interval, &events) in trace.iter_mut().zip(&rider.interval_events) {
+            interval.decay_counter_events = events;
+        }
+        let n = self.cfg.n_cores;
+        let mut fork = CmpSystem {
+            cfg: rider.cfg,
+            now: self.now,
+            cores: self.cores.clone(),
+            sources: Vec::new(),
+            core_names: self.core_names.clone(),
+            l1s,
+            wbs: self.wbs.clone(),
+            l2s,
+            bus: self.bus.clone(),
+            events,
+            read_queues,
+            write_retries,
+            fx,
+            arena,
+            loads_completed: self.loads_completed,
+            load_latency_sum: self.load_latency_sum,
+            c2c_transfers: self.c2c_transfers,
+            upper_invalidations: self.upper_invalidations,
+            trace,
+            last_snap: Snapshot { decay_events: rider.events_at_close, ..self.last_snap },
+            interval_powered: self.interval_powered,
+            interval_start: self.interval_start,
+            struct_dirty: true,
+            struct_quiet: false,
+            worklist: self.worklist,
+            awake: self.all_mask,
+            all_mask: self.all_mask,
+            sleep: vec![CoreSleep::default(); n],
+            next_core_wake: u64::MAX,
+            powered_cache: self.powered_cache,
+            powered_synced_at: self.powered_synced_at,
+            lines_total: self.lines_total,
+            core_snaps: vec![CoreSnap::default(); n],
+            snap_agg: Snapshot::default(),
+            snap_dirty: 0,
+            profile: CycleProfile::default(),
+            ports_idle: 0,
+            l2_decay_due: vec![u64::MAX; n],
+            riders: Vec::new(),
+            slot_buf: Vec::new(),
+            loads_buf: Vec::new(),
+        };
+        // The interval snapshot caches restart from the fork's own
+        // counters (its decay events differ from this system's).
+        fork.snap_agg = fork.counters_scan();
+        for core in 0..n {
+            fork.core_snaps[core] = fork.core_snap_of(core);
+            // Both systems' decay deadlines moved: the rider left this
+            // one, and the fork ticks on the rider's clock alone.
+            fork.refresh_ports_idle(core);
+            self.refresh_ports_idle(core);
+        }
+        fork
     }
 
     /// Current cycle.
@@ -1138,22 +1318,31 @@ impl CmpSystem {
         safe
     }
 
-    /// Run until completion (`true`) or until the lane needs more ops
-    /// buffered in the shared window (`false`; re-call after
-    /// [`OpWindow::advance`]). `pos` holds the lane's per-core absolute
-    /// read positions and persists across segments; time, pipeline and
-    /// cache state live in `self`, so the cycle sequence is exactly the
-    /// one [`CmpSystem::run_loop`] would produce — pauses land *between*
-    /// cycles and consume nothing.
-    pub(crate) fn run_segment(&mut self, window: &OpWindow, pos: &mut [u64]) -> bool {
+    /// Run until completion ([`Segment::Done`]), until the lane needs
+    /// more ops buffered in the shared window ([`Segment::Starved`];
+    /// re-call after [`OpWindow::advance`]) or until the boundary before
+    /// cycle `limit` ([`Segment::Paused`]). `pos` holds the lane's
+    /// per-core absolute read positions and persists across segments;
+    /// time, pipeline and cache state live in `self`, so the cycle
+    /// sequence is exactly the one [`CmpSystem::run_loop`] would produce
+    /// — pauses land *between* cycles and consume nothing.
+    pub(crate) fn run_segment(
+        &mut self,
+        window: &OpWindow,
+        pos: &mut [u64],
+        limit: u64,
+    ) -> Segment {
         match self.cfg.kernel {
             SimKernel::PerCycle => loop {
                 if self.done() || self.now >= self.cfg.max_cycles {
                     break;
                 }
-                let mut safe = self.starvation_free_cycles(window, pos);
+                if self.now >= limit {
+                    return Segment::Paused;
+                }
+                let mut safe = self.starvation_free_cycles(window, pos).min(limit - self.now);
                 if safe == 0 {
-                    return false;
+                    return Segment::Starved;
                 }
                 while safe > 0 && !self.done() && self.now < self.cfg.max_cycles {
                     self.step_cycle_with(&mut Feed::Window { window, pos: &mut *pos });
@@ -1162,22 +1351,30 @@ impl CmpSystem {
             },
             SimKernel::QuiescenceSkip => {
                 // Mirrors `run_loop`'s skip kernel: quiet spans advance
-                // in bulk. A quiet cycle ticks no core, so skipping
-                // never touches the window and is not charged against
-                // the starvation budget (it consumes no ops).
+                // in bulk (never past the limit — a shorter skip is
+                // always exact). A quiet cycle ticks no core, so
+                // skipping never touches the window and is not charged
+                // against the starvation budget (it consumes no ops).
                 let mut try_skip = false;
                 loop {
                     if self.done() || self.now >= self.cfg.max_cycles {
                         break;
                     }
+                    if self.now >= limit {
+                        return Segment::Paused;
+                    }
                     let mut safe = self.starvation_free_cycles(window, pos);
                     if safe == 0 {
-                        return false;
+                        return Segment::Starved;
                     }
-                    while safe > 0 && !self.done() && self.now < self.cfg.max_cycles {
+                    while safe > 0
+                        && !self.done()
+                        && self.now < self.cfg.max_cycles
+                        && self.now < limit
+                    {
                         if try_skip {
                             if let Some(target) = self.quiescent_wakeup() {
-                                self.advance_quiet(target);
+                                self.advance_quiet(target.min(limit));
                                 continue;
                             }
                         }
@@ -1188,7 +1385,7 @@ impl CmpSystem {
                 }
             }
         }
-        true
+        Segment::Done
     }
 
     /// Drain check. The structural half (queues, cores, events) only
@@ -1846,21 +2043,25 @@ impl CmpSystem {
 
     fn deliver_to_l1(&mut self, core: usize, line: LineAddr) {
         let install = self.l2s[core].holds_valid(line);
-        let (waiting, evicted) = if install {
-            let r = self.l1s[core].fill(line);
+        let mut waiting = std::mem::take(&mut self.loads_buf);
+        waiting.clear();
+        let evicted = if install {
+            let evicted = self.l1s[core].fill(line, &mut waiting);
             self.l2s[core].set_in_l1(line, true);
-            r
+            evicted
         } else {
-            (self.l1s[core].complete_without_install(line), None)
+            self.l1s[core].complete_without_install(line, &mut waiting);
+            None
         };
         if let Some(ev) = evicted {
             self.l2s[core].set_in_l1(ev, false);
         }
-        for p in waiting {
+        for p in &waiting {
             self.cores[core].on_load_complete(p.id);
             self.loads_completed += 1;
             self.load_latency_sum += self.now - p.issued_at;
         }
+        self.loads_buf = waiting;
     }
 
     // ---- bus --------------------------------------------------------------
@@ -1957,17 +2158,22 @@ impl CmpSystem {
     // ---- per-core L2 cycle --------------------------------------------------
 
     fn l2_cycle(&mut self, core: usize) -> bool {
-        // Decay clock and turn-off processing.
-        let decayed = self.l2s[core].take_decayed(self.now);
-        let mut work = !decayed.is_empty();
-        for slot in decayed {
+        // Decay clock and turn-off processing, through one reused slot
+        // list (a retried turn-off re-parks in the cache's own list).
+        let mut slots = std::mem::take(&mut self.slot_buf);
+        slots.clear();
+        self.l2s[core].take_decayed(self.now, &mut slots);
+        let mut work = !slots.is_empty();
+        for &slot in &slots {
             self.try_turn_off(core, slot);
         }
-        let deferred = self.l2s[core].take_deferred_turnoffs();
-        work |= !deferred.is_empty();
-        for slot in deferred {
+        slots.clear();
+        self.l2s[core].drain_deferred_turnoffs(&mut slots);
+        work |= !slots.is_empty();
+        for &slot in &slots {
             self.try_turn_off(core, slot);
         }
+        self.slot_buf = slots;
 
         // L2 ports: reads (latency-critical) first, then writes.
         let mut ops = 0u32;
@@ -2194,6 +2400,11 @@ impl CmpSystem {
             decay_counter_events: snap.decay_events - self.last_snap.decay_events,
         });
         self.last_snap = snap;
+        for (r, rider) in self.riders.iter_mut().enumerate() {
+            let events: u64 = self.l2s.iter().map(|l| l.rider_decay_events(r)).sum();
+            rider.interval_events.push(events - rider.events_at_close);
+            rider.events_at_close = events;
+        }
         self.interval_powered = 0;
         self.interval_start = end;
     }
@@ -2202,6 +2413,7 @@ impl CmpSystem {
     /// stays attached (so this can run before the scratch reclaim that
     /// strips it); the trace is moved out.
     pub(crate) fn finalize(&mut self) -> SimStats {
+        debug_assert!(self.riders.is_empty(), "riders fork before their carrier finalizes");
         if self.worklist {
             // Settle every sleeping core's deferred stall/retry charges
             // before the books close.
@@ -2355,6 +2567,78 @@ mod tests {
                 Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
             })
             .collect()
+    }
+
+    /// Core 0 works every cycle on L1-resident lines; core 1 misses to
+    /// memory and then window-blocks behind the miss, so it spends most
+    /// cycles asleep under the worklist engine while core 0 keeps every
+    /// cycle stepped.
+    fn lopsided_sources() -> Vec<Box<dyn OpSource>> {
+        let hits: Vec<TraceOp> =
+            (0..8u64).flat_map(|i| [TraceOp::Exec(3), TraceOp::Load(0x1000 + i * 64)]).collect();
+        let misses: Vec<TraceOp> = (0..4096u64)
+            .flat_map(|i| [TraceOp::Load((1 << 24) + i * 64), TraceOp::Exec(60)])
+            .collect();
+        vec![
+            LiveGen::boxed(Box::new(ReplayWorkload::cycle(hits))),
+            LiveGen::boxed(Box::new(ReplayWorkload::cycle(misses))),
+        ]
+    }
+
+    /// Drive a window-fed system to completion or to `limit`.
+    fn drive(sys: &mut CmpSystem, window: &mut OpWindow, pos: &mut [u64], limit: u64) -> Segment {
+        loop {
+            window.advance(pos, pos, 4096);
+            match sys.run_segment(window, pos, limit) {
+                Segment::Starved => continue,
+                done_or_paused => return done_or_paused,
+            }
+        }
+    }
+
+    #[test]
+    fn rider_forked_while_cores_sleep_matches_its_solo_run() {
+        for kernel in [SimKernel::QuiescenceSkip, SimKernel::PerCycle] {
+            let mut trunk_cfg = tiny_cfg(Technique::Decay { decay_cycles: 1 << 16 });
+            trunk_cfg.kernel = kernel;
+            let rider_cfg = CmpConfig {
+                technique: Technique::SelectiveDecay { decay_cycles: 2048 },
+                ..trunk_cfg
+            };
+            let fork_at = rider_cfg.first_decay_turnoff().unwrap();
+            let mut window = OpWindow::new(lopsided_sources());
+            let names = (0..2).map(|c| window.name(c).to_string()).collect();
+            let (mut trunk_scratch, mut rider_scratch) =
+                (SimScratch::default(), SimScratch::default());
+            let mut trunk = CmpSystem::for_window(trunk_cfg, names, &mut trunk_scratch);
+            trunk.attach_rider(rider_cfg, &mut rider_scratch.arena);
+            let mut pos = vec![0u64; 2];
+            assert_eq!(drive(&mut trunk, &mut window, &mut pos, fork_at), Segment::Paused);
+            assert_eq!(trunk.now(), fork_at);
+            assert_ne!(trunk.awake, trunk.all_mask, "{kernel:?}: core 1 must sleep at the fork");
+            let mut rider = trunk.fork_rider(0, &mut rider_scratch);
+            let mut rider_pos = pos.clone();
+            // Positions only anchor the window: both lanes sit at the
+            // same point, so one advance per round covers both.
+            let mut live = [true, true];
+            while live.iter().any(|&l| l) {
+                let lo: Vec<u64> = (0..2).map(|c| pos[c].min(rider_pos[c])).collect();
+                let hi: Vec<u64> = (0..2).map(|c| pos[c].max(rider_pos[c])).collect();
+                window.advance(&lo, &hi, 4096);
+                if live[0] {
+                    live[0] = trunk.run_segment(&window, &mut pos, u64::MAX) != Segment::Done;
+                }
+                if live[1] {
+                    live[1] = rider.run_segment(&window, &mut rider_pos, u64::MAX) != Segment::Done;
+                }
+            }
+            let (trunk_stats, rider_stats) = (trunk.finalize(), rider.finalize());
+            let solo =
+                |cfg| run_sources_with_scratch(cfg, lopsided_sources(), &mut SimScratch::default());
+            assert_eq!(trunk_stats, solo(trunk_cfg), "{kernel:?}: the trunk after a fork");
+            assert_eq!(rider_stats, solo(rider_cfg), "{kernel:?}: the forked rider");
+            assert!(rider_stats.cycles > fork_at, "the rider must run on after its fork");
+        }
     }
 
     #[test]

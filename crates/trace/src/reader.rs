@@ -2,31 +2,30 @@
 
 use crate::format::{OpDecoder, TraceHeader};
 use cmpleak_cpu::{TraceOp, Workload};
-use std::io::{self, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
-/// An opened trace file: parsed header plus a seekable source for the
-/// per-core streams. Opening reads only the header; each core's stream
-/// is loaded on demand by [`TraceFile::core_workload`].
-#[derive(Debug, Clone)]
+/// An opened trace file: parsed header plus the whole image, held in
+/// memory. Opening validates every byte of it (see
+/// [`TraceFile::from_bytes`]), so nothing read from the file can fail
+/// later, halfway through a simulation.
+#[derive(Clone)]
 pub struct TraceFile {
     header: TraceHeader,
-    source: Source,
+    image: Vec<u8>,
 }
 
-#[derive(Clone)]
-enum Source {
-    Path(PathBuf),
-    Bytes(Vec<u8>),
-}
-
-impl std::fmt::Debug for Source {
+impl std::fmt::Debug for TraceFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Source::Path(p) => f.debug_tuple("Path").field(p).finish(),
-            Source::Bytes(b) => write!(f, "Bytes({} bytes)", b.len()),
-        }
+        f.debug_struct("TraceFile")
+            .field("header", &self.header)
+            .field("image_bytes", &self.image.len())
+            .finish()
     }
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Check that the header's claimed stream lengths fit the actual image
@@ -35,46 +34,74 @@ impl std::fmt::Debug for Source {
 fn validate_size(header: &TraceHeader, available: u64) -> io::Result<()> {
     let mut expected = header.byte_len();
     for c in &header.cores {
-        expected = expected.checked_add(c.len).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "trace stream lengths overflow")
-        })?;
+        expected = expected
+            .checked_add(c.len)
+            .ok_or_else(|| invalid("trace stream lengths overflow".into()))?;
     }
     if expected != available {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("trace header claims {expected} bytes but the image has {available}"),
-        ));
+        return Err(invalid(format!(
+            "trace header claims {expected} bytes but the image has {available}"
+        )));
+    }
+    Ok(())
+}
+
+/// Decode every core's stream in full: it must yield exactly the
+/// header's op count, consume exactly its byte length, and sum to the
+/// header's instruction count. A stream truncated or mutated behind a
+/// valid header fails here, not when a replay reaches the bad op.
+fn validate_streams(header: &TraceHeader, image: &[u8]) -> io::Result<()> {
+    let mut start = header.byte_len() as usize;
+    for (core, info) in header.cores.iter().enumerate() {
+        let stream = &image[start..start + info.len as usize];
+        start += info.len as usize;
+        let mut dec = OpDecoder::new();
+        let (mut pos, mut ops, mut instructions) = (0usize, 0u64, 0u64);
+        while ops < info.ops {
+            let Some(op) = dec.decode(stream, &mut pos) else {
+                return Err(invalid(format!(
+                    "trace stream of core {core} ('{}') breaks off after {ops} of {} ops",
+                    info.name, info.ops
+                )));
+            };
+            ops += 1;
+            instructions += op.instructions();
+        }
+        if pos != stream.len() {
+            return Err(invalid(format!(
+                "trace stream of core {core} ('{}') has {} bytes past its {} ops",
+                info.name,
+                stream.len() - pos,
+                info.ops
+            )));
+        }
+        if instructions != info.instructions {
+            return Err(invalid(format!(
+                "trace stream of core {core} ('{}') holds {instructions} instructions, \
+                 its header claims {}",
+                info.name, info.instructions
+            )));
+        }
     }
     Ok(())
 }
 
 impl TraceFile {
-    /// Open `path`, parsing and validating the header (including that
-    /// the per-core stream lengths add up to the file size).
+    /// Open `path`: read the image and validate it as
+    /// [`TraceFile::from_bytes`] does.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let mut f = std::fs::File::open(path.as_ref())?;
-        let header = TraceHeader::read(&mut f)?;
-        validate_size(&header, f.metadata()?.len())?;
-        Ok(Self { header, source: Source::Path(path.as_ref().to_path_buf()) })
+        Self::from_bytes(std::fs::read(path.as_ref())?)
     }
 
-    /// Parse an in-memory trace image (round-trip tests, network use).
+    /// Parse an in-memory trace image, validating the header, that the
+    /// per-core stream lengths add up to the image size, and that every
+    /// stream decodes to exactly its recorded op and instruction counts.
+    /// Any damaged image returns an error.
     pub fn from_bytes(bytes: Vec<u8>) -> io::Result<Self> {
         let header = TraceHeader::read(&mut bytes.as_slice())?;
         validate_size(&header, bytes.len() as u64)?;
-        Ok(Self { header, source: Source::Bytes(bytes) })
-    }
-
-    /// Pull the whole file into memory so that subsequent
-    /// [`core_workload`](Self::core_workload) calls slice the cached
-    /// image instead of re-opening and re-reading the file per core —
-    /// the right mode when all cores (or many experiments) will be
-    /// built from the same trace.
-    pub fn preload(&mut self) -> io::Result<()> {
-        if let Source::Path(p) = &self.source {
-            self.source = Source::Bytes(std::fs::read(p)?);
-        }
-        Ok(())
+        validate_streams(&header, &bytes)?;
+        Ok(Self { header, image: bytes })
     }
 
     /// The parsed header.
@@ -82,15 +109,9 @@ impl TraceFile {
         &self.header
     }
 
-    /// The raw file image, if it has been pulled into memory (via
-    /// [`preload`](Self::preload) or [`from_bytes`](Self::from_bytes)).
-    /// `None` while the source is still a path — callers needing the
-    /// exact bytes for content addressing should preload first.
-    pub fn cached_image(&self) -> Option<&[u8]> {
-        match &self.source {
-            Source::Bytes(b) => Some(b),
-            Source::Path(_) => None,
-        }
+    /// The raw file image (the exact bytes, for content addressing).
+    pub fn image(&self) -> &[u8] {
+        &self.image
     }
 
     /// Scenario label recorded in the header.
@@ -115,44 +136,25 @@ impl TraceFile {
         self.header.cores.iter().map(|c| c.instructions).min().unwrap_or(0)
     }
 
-    /// Load `core`'s stream and wrap it as a replayable [`Workload`].
-    ///
-    /// Seeks directly to the stream (other cores' bytes are never read).
-    pub fn core_workload(&self, core: usize) -> io::Result<TraceWorkload> {
-        let info = self.header.cores.get(core).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("trace has {} cores, requested core {core}", self.n_cores()),
-            )
-        })?;
-        let offset = self.header.stream_offset(core);
-        let len = info.len as usize;
-        let buf = match &self.source {
-            Source::Path(p) => {
-                let mut f = std::fs::File::open(p)?;
-                f.seek(SeekFrom::Start(offset))?;
-                let mut buf = vec![0u8; len];
-                f.read_exact(&mut buf)?;
-                buf
-            }
-            Source::Bytes(bytes) => {
-                let start = offset as usize;
-                let end =
-                    start.checked_add(len).filter(|&e| e <= bytes.len()).ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::UnexpectedEof, "trace image truncated")
-                    })?;
-                bytes[start..end].to_vec()
-            }
-        };
-        Ok(TraceWorkload {
+    /// `core`'s stream as a replayable [`Workload`], or `None` if the
+    /// trace has no such core.
+    pub fn core_workload(&self, core: usize) -> Option<TraceWorkload> {
+        let info = self.header.cores.get(core)?;
+        let offset = self.header.stream_offset(core) as usize;
+        Some(TraceWorkload {
             name: info.name.clone(),
             total_ops: info.ops,
             total_instructions: info.instructions,
-            buf,
+            buf: self.image[offset..offset + info.len as usize].to_vec(),
             pos: 0,
             ops_read: 0,
             dec: OpDecoder::new(),
         })
+    }
+
+    /// Every core's stream as a replayable [`Workload`], core order.
+    pub fn workloads(&self) -> Vec<TraceWorkload> {
+        (0..self.n_cores()).filter_map(|c| self.core_workload(c)).collect()
     }
 }
 
@@ -283,7 +285,7 @@ mod tests {
         assert_eq!(w1.name(), "beta");
         assert_eq!(w1.next_op(), TraceOp::Load(0x1000));
         assert_eq!(w1.next_op(), TraceOp::Exec(5));
-        assert!(tf.core_workload(2).is_err(), "out-of-range core is rejected");
+        assert!(tf.core_workload(2).is_none(), "out-of-range core is rejected");
         std::fs::remove_file(&path).ok();
     }
 
@@ -302,6 +304,37 @@ mod tests {
         std::fs::write(&path, &good).unwrap();
         assert!(TraceFile::open(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncated_op_stream_behind_a_valid_header_is_rejected_at_open() {
+        let rec = two_core_trace();
+        let bytes = rec.to_bytes();
+        let mut header = TraceHeader::read(&mut bytes.as_slice()).unwrap();
+        let streams = &bytes[header.byte_len() as usize..];
+        // Drop core 1's last op byte and shrink its length field to
+        // match: the sizes agree, the op count does not.
+        header.cores[1].len -= 1;
+        let mut image = header.encode();
+        image.extend_from_slice(&streams[..streams.len() - 1]);
+        let err = TraceFile::from_bytes(image.clone()).unwrap_err();
+        assert!(err.to_string().contains("breaks off"), "{err}");
+        let path = std::env::temp_dir().join("cmpleak_trace_truncated_test.cmpt");
+        std::fs::write(&path, &image).unwrap();
+        assert!(TraceFile::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn stream_claiming_wrong_instruction_count_is_rejected_at_open() {
+        let rec = two_core_trace();
+        let bytes = rec.to_bytes();
+        let mut header = TraceHeader::read(&mut bytes.as_slice()).unwrap();
+        let streams = bytes[header.byte_len() as usize..].to_vec();
+        header.cores[0].instructions += 1;
+        let mut image = header.encode();
+        image.extend_from_slice(&streams);
+        assert!(TraceFile::from_bytes(image).is_err());
     }
 
     #[test]

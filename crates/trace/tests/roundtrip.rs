@@ -131,3 +131,44 @@ fn instruction_accounting_matches_op_sum() {
     assert_eq!(ops, tf.header().cores[0].ops);
     assert_eq!(sum, tf.header().cores[0].instructions);
 }
+
+proptest! {
+    /// Hostile input: a valid image with bytes flipped and/or cut short
+    /// either fails to open, or opens into streams that replay in full
+    /// to their recorded op counts — never a panic partway through.
+    #[test]
+    fn damaged_images_fail_at_open_or_replay_in_full(
+        seed in 0u64..1_000,
+        cut in 0usize..8192,
+        flips in proptest::collection::vec((0usize..4096, 1u8..255), 0..4),
+    ) {
+        let spec = WorkloadSpec::water_ns();
+        let mut wls: Vec<Box<dyn Workload>> = (0..2)
+            .map(|c| Box::new(GenerationalWorkload::new(spec, c, 2, seed)) as Box<dyn Workload>)
+            .collect();
+        let mut image = record_workloads(spec.name, seed, &mut wls, 300).to_bytes();
+        for (at, mask) in &flips {
+            let i = at % image.len();
+            image[i] ^= mask;
+        }
+        // Half the cases also cut the image short.
+        let truncated = cut < 4096;
+        if truncated {
+            image.truncate(cut % image.len());
+        }
+        let damaged = !flips.is_empty() || truncated;
+        match TraceFile::from_bytes(image) {
+            Ok(tf) => {
+                for mut w in tf.workloads() {
+                    let mut instructions = 0;
+                    for _ in 0..w.total_ops() {
+                        instructions += w.next_op().instructions();
+                    }
+                    prop_assert!(w.try_next_op().is_none());
+                    prop_assert_eq!(instructions, w.total_instructions());
+                }
+            }
+            Err(_) => prop_assert!(damaged, "an undamaged image must open"),
+        }
+    }
+}
