@@ -2,8 +2,8 @@
 //! analysis.
 //!
 //! The reproduction's correctness contract is bit-identity: the golden
-//! sweep snapshot, the kernel differentials, and the stream-sharing
-//! tests all pin byte-identical results across kernels, thread counts,
+//! sweep snapshot, the engine differentials, and the stream-sharing
+//! tests all pin byte-identical results across engines, thread counts,
 //! and replay paths. This crate turns the implicit determinism rules
 //! that contract relies on into machine-checked policy:
 //!

@@ -1,8 +1,8 @@
 //! Determinism lint rules over the token stream.
 //!
 //! Every rule here exists because the workspace's correctness story is
-//! *bit-identity*: golden sweep snapshots, kernel differentials, and
-//! stream-sharing tests all pin byte-identical output across kernels,
+//! *bit-identity*: golden sweep snapshots, engine differentials, and
+//! stream-sharing tests all pin byte-identical output across engines,
 //! thread counts, and replay paths. The classic ways that contract rots
 //! are hash-iteration order, wall-clock reads, ambient RNG, pointer
 //! addresses leaking into ordering decisions, and hidden shared

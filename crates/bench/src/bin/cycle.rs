@@ -1,7 +1,8 @@
 //! Per-cycle engine harness: measures what the worklist engine buys —
-//! iterating only awake cores, integrating the powered-line sum as
-//! value × span, and enum-dispatched op feeds — against the full-scan
-//! reference on the paper grid, and emits `BENCH_cycle.json`.
+//! iterating only awake cores, skipping cycles in which none is awake,
+//! and integrating the powered-line sum as value × span — against the
+//! full-scan reference (every cycle stepped, every core walked) on the
+//! paper grid, and emits `BENCH_cycle.json`.
 //!
 //! ```text
 //! cycle [--instr N] [--reps N] [--quick] [--out PATH]
@@ -16,8 +17,8 @@
 //!
 //! When built with `--features cycle-profile`, the report additionally
 //! carries the engines' attribution counters (cycles stepped vs
-//! skipped vs batched, core phases run vs suppressed, events, grants,
-//! and the spine-gating skip counters) — the denominator data for the
+//! skipped, core phases run vs suppressed, events, grants, and the
+//! phase-gate skip counters) — the denominator data for the
 //! ns/cycle numbers; `--profile` prints them as a per-mechanism
 //! attribution table. The default build compiles those counters out;
 //! the committed JSON notes which build produced it.
@@ -119,7 +120,6 @@ fn load_baseline(path: &str) -> Option<Vec<BaselineGroup>> {
 struct ProfileTotals {
     cycles_stepped: u64,
     cycles_skipped: u64,
-    cycles_batched: u64,
     events_popped: u64,
     bus_grants: u64,
     grant_checks_skipped: u64,
@@ -132,7 +132,6 @@ impl ProfileTotals {
     fn add(&mut self, p: CycleProfile) {
         self.cycles_stepped += p.cycles_stepped;
         self.cycles_skipped += p.cycles_skipped;
-        self.cycles_batched += p.cycles_batched;
         self.events_popped += p.events_popped;
         self.bus_grants += p.bus_grants;
         self.grant_checks_skipped += p.grant_checks_skipped;
@@ -286,10 +285,9 @@ fn print_attribution(profiled_build: bool, fs: &ProfileTotals, wl: &ProfileTotal
     }
     println!("== cycle-profile attribution ==");
     println!("{:<28} {:>14} {:>14}", "counter", "full-scan", "worklist");
-    let rows: [(&str, u64, u64); 9] = [
+    let rows: [(&str, u64, u64); 8] = [
         ("cycles stepped", fs.cycles_stepped, wl.cycles_stepped),
-        ("cycles skipped (quiescent)", fs.cycles_skipped, wl.cycles_skipped),
-        ("cycles batched (working-span)", fs.cycles_batched, wl.cycles_batched),
+        ("cycles skipped (all asleep)", fs.cycles_skipped, wl.cycles_skipped),
         ("events popped", fs.events_popped, wl.events_popped),
         ("bus grants", fs.bus_grants, wl.bus_grants),
         ("grant checks skipped", fs.grant_checks_skipped, wl.grant_checks_skipped),
@@ -303,10 +301,10 @@ fn print_attribution(profiled_build: bool, fs: &ProfileTotals, wl: &ProfileTotal
     for (label, t) in [("full-scan", fs), ("worklist", wl)] {
         let stepped = t.cycles_stepped.max(1) as f64;
         println!(
-            "{label}: {:.1}% of stepped cycles skipped arbitration, {:.2} port loops skipped per stepped cycle, {:.1}% of executed cycles batched",
+            "{label}: {:.1}% of stepped cycles skipped arbitration, {:.2} port loops skipped per stepped cycle, {:.1}% of cycles skipped",
             t.grant_checks_skipped as f64 / stepped * 100.0,
             t.port_loops_skipped as f64 / stepped,
-            t.cycles_batched as f64 / (t.cycles_stepped + t.cycles_batched).max(1) as f64 * 100.0,
+            t.cycles_skipped as f64 / (t.cycles_stepped + t.cycles_skipped).max(1) as f64 * 100.0,
         );
     }
 }
@@ -460,11 +458,10 @@ fn main() {
             worklist_phase_suppression: wl_profile.core_phases_suppressed as f64 / denom as f64,
         };
         println!(
-            "profile: worklist suppressed {:.1}% of core phases ({} stepped / {} skipped / {} batched cycles)",
+            "profile: worklist suppressed {:.1}% of core phases ({} stepped / {} skipped cycles)",
             report.worklist_phase_suppression * 100.0,
             wl_profile.cycles_stepped,
             wl_profile.cycles_skipped,
-            wl_profile.cycles_batched,
         );
         report
     });

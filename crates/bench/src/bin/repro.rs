@@ -127,7 +127,6 @@ fn cores_scaling(opts: &Opts) {
             seed: opts.seed,
             n_cores,
             power: Default::default(),
-            kernel: Default::default(),
             engine: Default::default(),
         };
         let base = run_experiment(&mk(Technique::Baseline));

@@ -6,8 +6,8 @@ use cmpleak_mem::BankArena;
 use cmpleak_power::{evaluate_energy, PowerParams, PowerReport};
 use cmpleak_store::{CellKey, KeyHasher, StoredCell};
 use cmpleak_system::{
-    run_feeds_with_scratch, run_lane_group, CmpConfig, CycleEngine, LaneScratch, SimKernel,
-    SimScratch, SimStats,
+    run_feeds_with_scratch, run_lane_group, CmpConfig, CycleEngine, LaneScratch, SimScratch,
+    SimStats,
 };
 use cmpleak_workloads::WorkloadSpec;
 
@@ -30,9 +30,6 @@ pub struct ExperimentConfig {
     pub n_cores: usize,
     /// Power-model parameters.
     pub power: PowerParams,
-    /// Cycle kernel (both produce bit-identical results; the default
-    /// quiescence-skipping kernel is simply faster).
-    pub kernel: SimKernel,
     /// Per-cycle engine (both produce bit-identical results; the default
     /// worklist engine is simply faster).
     pub engine: CycleEngine,
@@ -55,7 +52,6 @@ impl ExperimentConfig {
             seed: 42,
             n_cores: 4,
             power: PowerParams::default(),
-            kernel: SimKernel::default(),
             engine: CycleEngine::default(),
         }
     }
@@ -64,7 +60,7 @@ impl ExperimentConfig {
     /// result store: a hash over the canonical encoding of everything
     /// that determines the result — the scenario bytes
     /// ([`Scenario::canonical_bytes`]), technique, cache size,
-    /// instruction budget, seed, core count, kernel/engine choice and
+    /// instruction budget, seed, core count, engine choice and
     /// every power parameter — on top of the store's schema version and
     /// code fingerprint (seeded by [`KeyHasher::new`]).
     pub fn store_key(&self) -> CellKey {
@@ -84,10 +80,6 @@ impl ExperimentConfig {
         h.write_u64(self.instructions_per_core);
         h.write_u64(self.seed);
         h.write_u64(self.n_cores as u64);
-        h.write_u64(match self.kernel {
-            SimKernel::QuiescenceSkip => 0,
-            SimKernel::PerCycle => 1,
-        });
         h.write_u64(match self.engine {
             CycleEngine::Worklist => 0,
             CycleEngine::FullScan => 1,
@@ -130,7 +122,6 @@ impl ExperimentConfig {
         cfg.n_cores = self.n_cores;
         cfg.l2.size_bytes = self.total_l2_mb * 1024 * 1024 / self.n_cores;
         cfg.instructions_per_core = self.instructions_per_core;
-        cfg.kernel = self.kernel;
         cfg.engine = self.engine;
         cfg
     }

@@ -488,7 +488,6 @@ fn run_sweep_inner(
                         seed: cfg.seed,
                         n_cores: cfg.n_cores,
                         power: PowerParams::default(),
-                        kernel: Default::default(),
                         engine: Default::default(),
                     },
                     simulate,

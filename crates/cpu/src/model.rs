@@ -58,8 +58,9 @@ pub trait CorePort {
     fn try_store(&mut self, addr: u64) -> bool;
 }
 
-/// What a core can do on its next tick — the quiescence-skipping kernel
-/// classifies cores with this to find spans where no core can dispatch.
+/// What a core can do on its next tick — the simulator's worklist engine
+/// classifies cores with this to find cores that can sleep until a wake
+/// edge.
 ///
 /// The contract with [`CoreModel::tick`]: for every variant except
 /// `Ready`, a tick performs **no** workload or port call and mutates

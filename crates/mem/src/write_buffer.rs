@@ -76,7 +76,7 @@ impl WriteBuffer {
 
     /// Whether [`WriteBuffer::push`] for `line` would return `false` —
     /// the non-mutating mirror of its rejection condition (full and not
-    /// coalescing). The quiescence-skipping kernel uses it to prove a
+    /// coalescing). The simulator's worklist engine uses it to prove a
     /// store-retrying core stays blocked while the buffer cannot drain.
     pub fn store_would_refuse(&self, line: LineAddr) -> bool {
         self.is_full() && !self.fifo.contains(&line)

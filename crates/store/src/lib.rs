@@ -4,7 +4,7 @@
 //! `PowerReport`) are cached on disk under a 128-bit content address
 //! derived from everything that determines the result — the canonical
 //! `ExperimentConfig` encoding (scenario bytes, technique, L2 size,
-//! budget, seed, core count, kernel/engine, power parameters), the
+//! budget, seed, core count, engine, power parameters), the
 //! record schema version, and a build-time fingerprint of all
 //! workspace simulation sources.
 //!

@@ -95,12 +95,6 @@ impl SharedBus {
         self.queue.is_empty()
     }
 
-    /// Cycle until which the bus is occupied by the granted transaction;
-    /// while `now < busy_until()` no grant can happen.
-    pub fn busy_until(&self) -> u64 {
-        self.busy_until
-    }
-
     /// First cycle at which both the bus and the memory channel will
     /// have drained their current occupancy. With an empty queue the bus
     /// is [`idle`](SharedBus::idle) from this cycle on.

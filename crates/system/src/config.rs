@@ -124,54 +124,38 @@ impl Default for MemConfig {
     }
 }
 
-/// Which cycle kernel drives the simulation.
+/// Which engine steps the simulation.
 ///
-/// Both kernels produce **bit-identical** [`SimStats`](crate::SimStats)
-/// — enforced by `tests/kernel_differential.rs` and by the golden sweep
-/// snapshot, which was blessed under the per-cycle kernel and must pass
-/// under the default without re-blessing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimKernel {
-    /// Quiescence-skipping kernel: when no component can make progress,
-    /// time jumps directly to the next wakeup (event, bus grant, decay
-    /// tick, sample boundary) instead of stepping cycle by cycle.
-    #[default]
-    QuiescenceSkip,
-    /// The classic one-`step_cycle`-per-cycle loop, kept as the
-    /// differential reference.
-    PerCycle,
-}
-
-/// Which per-cycle engine executes a *stepped* cycle.
-///
-/// Orthogonal to [`SimKernel`]: the kernel decides *which* cycles are
-/// stepped (all of them, or only non-quiescent ones); the engine decides
-/// how much of the machine a stepped cycle scans. Both engines produce
-/// **bit-identical** [`SimStats`](crate::SimStats) — enforced by
-/// `tests/cycle_engine_differential.rs` and by the golden sweep
-/// snapshot, which passes under the worklist default without
-/// re-blessing.
+/// Both engines produce **bit-identical** [`SimStats`](crate::SimStats)
+/// — enforced by `tests/cycle_engine_differential.rs` and by the golden
+/// sweep snapshot, which passes under the worklist default without
+/// re-blessing. See the `system` module docs for the invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CycleEngine {
     /// Worklist engine: an awake-core bitmask limits the per-cycle L2
     /// port loops and core ticks to cores that can make progress;
     /// provably blocked cores sleep and are bulk-charged their stall
     /// and retry statistics when a wake edge (own event, bus grant,
-    /// decay deadline) re-activates them, and the powered-lines
-    /// integral advances as value × span between working cycles.
-    /// Systems with more than 64 cores fall back to the full scan (the
-    /// mask is a single word).
+    /// decay deadline) re-activates them. When no core is awake, time
+    /// jumps straight to the next cycle at which anything can act (the
+    /// skip rule), and the powered-lines integral advances as value ×
+    /// span between working cycles.
     #[default]
     Worklist,
-    /// The classic full scan — every stepped cycle walks all cores —
-    /// kept as the differential reference arm.
+    /// The classic full scan — every cycle is stepped and walks all
+    /// cores — kept as the differential reference arm.
     FullScan,
 }
+
+/// Most cores a system can have: the per-core masks of the cycle loop
+/// (the worklist's active set, the `ports_idle` gate) are one `u64`.
+const MAX_CORES: usize = 64;
 
 /// Full system configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmpConfig {
-    /// Number of cores (the paper evaluates 4).
+    /// Number of cores (the paper evaluates 4; at most 64, the width
+    /// of the cycle loop's per-core masks).
     pub n_cores: usize,
     /// Core timing model parameters.
     pub core: CoreConfig,
@@ -196,9 +180,6 @@ pub struct CmpConfig {
     /// classifies technique-induced misses (small simulation overhead;
     /// measurement-only).
     pub shadow_tags: bool,
-    /// Cycle kernel (default: quiescence-skipping; both are
-    /// bit-identical, see [`SimKernel`]).
-    pub kernel: SimKernel,
     /// Per-cycle engine (default: worklist; both are bit-identical, see
     /// [`CycleEngine`]).
     pub engine: CycleEngine,
@@ -218,7 +199,6 @@ impl Default for CmpConfig {
             max_cycles: 500_000_000,
             sample_interval: 10_000,
             shadow_tags: true,
-            kernel: SimKernel::default(),
             engine: CycleEngine::default(),
         }
     }
@@ -264,6 +244,11 @@ impl CmpConfig {
     /// Validate cross-component invariants.
     pub fn validate(&self) {
         assert!(self.n_cores >= 1);
+        assert!(
+            self.n_cores <= MAX_CORES,
+            "{} cores exceed the {MAX_CORES}-bit per-core masks (active set, ports idle)",
+            self.n_cores
+        );
         assert_eq!(self.l1.line_bytes, self.l2.line_bytes, "uniform line size");
         assert!(
             self.l2.size_bytes >= self.l1.size_bytes,

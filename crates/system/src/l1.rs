@@ -116,7 +116,7 @@ impl L1Cache {
 
     /// Whether [`L1Cache::access_load`] for `line` would return
     /// [`L1LoadOutcome::Refused`], without performing the probe. Used by
-    /// the quiescence-skipping kernel: a refused load stays refused (and
+    /// the worklist engine's sleep test: a refused load stays refused (and
     /// the refusal is side-effect-free) until a fill or invalidation
     /// changes this cache, both of which are event-driven.
     pub fn load_would_refuse(&self, line: LineAddr) -> bool {

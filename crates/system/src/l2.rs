@@ -483,9 +483,9 @@ impl L2Cache {
 
     /// Cycle of the next global decay tick, if this cache decays at all —
     /// over its own clock and every rider's, so riders' ticks are
-    /// processed on their own cycles. A wakeup source for the
-    /// quiescence-skipping kernel: between ticks an otherwise-idle cache
-    /// has no decay activity to simulate.
+    /// processed on their own cycles. A wake edge of the worklist
+    /// engine: between ticks an otherwise-idle cache has no decay
+    /// activity to simulate.
     pub fn next_decay_deadline(&self) -> Option<u64> {
         let own = self.decay.as_ref().map(|d| d.next_tick_at());
         self.riders
@@ -495,7 +495,7 @@ impl L2Cache {
     }
 
     /// Whether deferred turn-offs are waiting to be retried (they retry
-    /// every cycle, so the kernel must not skip while any are pending).
+    /// every cycle, so the core must not sleep while any are pending).
     pub fn has_deferred_turnoffs(&self) -> bool {
         !self.deferred_turnoffs.is_empty()
     }
@@ -669,11 +669,10 @@ impl L2Cache {
     /// Whether [`L2Cache::probe_read`] for `line` would return
     /// [`L2ReadOutcome::Retry`] — the non-mutating mirror of its retry
     /// conditions (transient line, or MSHR unable to accept). Used by
-    /// the quiescence-skipping kernel: while the head of a read queue
+    /// the worklist engine's sleep test: while the head of a read queue
     /// provably keeps retrying, the cache's state can only change
-    /// through events or bus grants — both wakeup sources — so a
-    /// read-burst span blocked on a saturated MSHR or a transient line
-    /// no longer forces per-cycle stepping.
+    /// through events or bus grants — both wake edges — so a core
+    /// blocked on a saturated MSHR or a transient line can sleep.
     pub fn read_would_retry(&self, line: LineAddr) -> bool {
         match self.tags.probe(line) {
             LookupOutcome::Hit(slot) => !self.tags.slot(slot).meta.state.is_stationary(),
@@ -684,10 +683,10 @@ impl L2Cache {
     /// Whether [`L2Cache::probe_write`] for `line` would return
     /// [`L2WriteOutcome::Retry`] — the non-mutating mirror of its retry
     /// conditions (transient line, or MSHR unable to accept). Used by
-    /// the quiescence-skipping kernel: while the head of a write drain
+    /// the worklist engine's sleep test: while the head of a write drain
     /// provably keeps retrying, the cache's state can only change
-    /// through events or bus grants, which are wakeup sources, so the
-    /// blocked span can be skipped.
+    /// through events or bus grants, which are wake edges, so the
+    /// blocked core can sleep.
     pub fn write_would_retry(&self, line: LineAddr) -> bool {
         match self.tags.probe(line) {
             LookupOutcome::Hit(slot) => {

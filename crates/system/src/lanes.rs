@@ -19,8 +19,9 @@
 //! or drains its buffered ops. One lane's cache/bus state thus stays
 //! hot through thousands of consecutive cycles, while the window stays
 //! O(segment) — not O(stream) — because lanes drain to within a fetch
-//! margin of the window's end before pausing. Each lane's
-//! quiescence-skip kernel operates unchanged within its segments.
+//! margin of the window's end before pausing. Each lane's cycle engine,
+//! including the worklist's idle skip, operates unchanged within its
+//! segments.
 //!
 //! # Timing classes: trunks, riders and forks
 //!
@@ -180,7 +181,7 @@ fn plan_trunks(cfgs: &[CmpConfig]) -> Vec<Option<usize>> {
 /// All configurations must agree on everything that shapes the op
 /// stream — core count, instruction budget, core width (the fetch
 /// margin) — they may differ in technique, cache geometry, decay
-/// intervals, kernels.
+/// intervals, engines.
 ///
 /// # Panics
 /// Panics if `cfgs` is empty or disagrees on `n_cores`,
@@ -285,7 +286,7 @@ pub fn run_lane_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimKernel;
+    use crate::config::CycleEngine;
     use crate::system::run_sources_with_scratch;
     use cmpleak_coherence::Technique;
     use cmpleak_cpu::{LiveGen, ReplayWorkload, TraceOp};
@@ -334,15 +335,9 @@ mod tests {
 
     #[test]
     fn lane_group_matches_sequential_runs_bit_for_bit() {
-        for kernel in [SimKernel::QuiescenceSkip, SimKernel::PerCycle] {
-            let cfgs: Vec<CmpConfig> = techniques()
-                .into_iter()
-                .map(|t| {
-                    let mut c = tiny_cfg(t);
-                    c.kernel = kernel;
-                    c
-                })
-                .collect();
+        for engine in [CycleEngine::Worklist, CycleEngine::FullScan] {
+            let cfgs: Vec<CmpConfig> =
+                techniques().into_iter().map(|t| CmpConfig { engine, ..tiny_cfg(t) }).collect();
             let mut scratch = LaneScratch::default();
             let laned = run_lane_group(&cfgs, mixed_streams(), &mut scratch);
             for (cfg, lane_stats) in cfgs.iter().zip(&laned) {
@@ -378,16 +373,17 @@ mod tests {
     }
 
     #[test]
-    fn lanes_with_different_kernels_stay_bit_identical() {
-        // One group mixing the per-cycle reference with the skipping
-        // kernel: both must agree with each other (kernel bit-identity)
+    fn lanes_with_different_engines_stay_bit_identical() {
+        // One group mixing the full-scan reference with the worklist
+        // engine: both must agree with each other (engine bit-identity)
         // while sharing the window.
-        let mut per_cycle = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
-        per_cycle.kernel = SimKernel::PerCycle;
-        let mut skipping = per_cycle;
-        skipping.kernel = SimKernel::QuiescenceSkip;
+        let full_scan = CmpConfig {
+            engine: CycleEngine::FullScan,
+            ..tiny_cfg(Technique::Decay { decay_cycles: 2048 })
+        };
+        let worklist = CmpConfig { engine: CycleEngine::Worklist, ..full_scan };
         let stats =
-            run_lane_group(&[per_cycle, skipping], mixed_streams(), &mut LaneScratch::default());
+            run_lane_group(&[full_scan, worklist], mixed_streams(), &mut LaneScratch::default());
         assert_eq!(stats[0], stats[1]);
     }
 

@@ -31,7 +31,7 @@ pub mod stats;
 pub mod system;
 
 pub use bus::{BusReq, BusReqKind, SharedBus};
-pub use config::{BusConfig, CmpConfig, CycleEngine, L1Config, L2Config, MemConfig, SimKernel};
+pub use config::{BusConfig, CmpConfig, CycleEngine, L1Config, L2Config, MemConfig};
 pub use l1::{L1Cache, L1LoadOutcome};
 pub use l2::{L2Cache, L2ReadOutcome, L2Target, L2WriteOutcome};
 pub use lanes::{run_lane_group, LaneScratch};

@@ -1,4 +1,4 @@
-//! The CMP system orchestrator: the cycle kernel tying cores, L1s, write
+//! The CMP system orchestrator: the cycle loop tying cores, L1s, write
 //! buffers, L2s, the snoopy bus and memory together.
 //!
 //! # Cycle structure
@@ -16,110 +16,84 @@
 //! Everything is deterministic: FIFO bus arbitration, fixed core order,
 //! a FIFO-per-cycle event queue.
 //!
-//! # Kernels
+//! # Engines and the skip rule
 //!
-//! Two kernels drive the loop ([`SimKernel`]), producing **bit-identical**
-//! statistics:
+//! Two *engines* execute the loop ([`CycleEngine`]), producing
+//! **bit-identical** statistics:
 //!
-//! * **per-cycle** — one [`step_cycle`](CmpSystem) per simulated cycle,
-//!   the reference;
-//! * **quiescence-skipping** (default) — before stepping, the kernel
-//!   checks whether any component can make progress *this* cycle. A cycle
-//!   is *quiet* when no event is due, the bus cannot grant, any pending
-//!   L1 read miss and any pending write drain are provably stuck (the
-//!   head of the read queue / retry queue / write buffer would be
-//!   refused by the L2 — a state only an event or bus grant can change),
-//!   no decay tick or
-//!   deferred turn-off is due, and every core is blocked (drained,
-//!   window-full behind an incomplete load, or spinning on a load/store
-//!   the hierarchy provably keeps refusing). Quiet cycles change nothing
-//!   except time, the powered-lines integral and constant per-cycle
-//!   stall counters (core stalls, write-buffer full-stalls, the blocked
-//!   read and write-drain heads' L2 retries) — all linear in the span —
-//!   so the kernel
-//!   advances `now` directly to the next wakeup: the earliest of (next
-//!   event, bus grant/drain horizon, decay tick, sampling-interval
-//!   boundary). The skipped span provably contains no activity, the
-//!   leakage integral is advanced by `powered × span`, and the blocked
-//!   components are bulk-charged — hence bit-identity, enforced by
-//!   `tests/kernel_differential.rs` and the golden sweep snapshot.
+//! * **full scan** — the reference: every cycle is stepped, and every
+//!   stepped cycle walks every core;
+//! * **worklist** (default) — an awake-core bitmask limits phases 3 and
+//!   4 to cores that can make progress, and cycles in which no core is
+//!   awake are not stepped at all.
 //!
-//! # Engines
+//! A core leaves the active set at the end of a cycle when its phases
+//! are provably no-ops until a wake edge: drained, window-blocked, or
+//! spinning on a load/store the hierarchy provably keeps refusing; any
+//! L2 queue head provably retried; no deferred turn-off. It re-enters
+//! on its own events, on *any* bus grant (snoops and their side effects
+//! are the only cross-core mutation channel), at its next decay
+//! deadline, and at fork/finalize boundaries. On wake it is charged in
+//! bulk the per-cycle statistics its skipped phases would have accrued:
+//! one stall of its blocking kind per cycle, one write-buffer
+//! full-stall per cycle when spinning on a refused store, and one L2
+//! retry per jammed queue head per cycle. Waking a core spuriously is
+//! always harmless — the reference runs every core's phases every
+//! cycle, and a blocked core's phases change nothing but those charges —
+//! so only a *missed* wake could break equivalence, and the edges above
+//! cover every channel that can unblock a core. The engine also
+//! integrates the powered-lines trace as value × span between *working*
+//! cycles (powered counts only flip on cycles that report work) instead
+//! of re-summing every cycle.
 //!
-//! Orthogonally to the kernel, two *engines* execute a stepped cycle
-//! ([`CycleEngine`]), again bit-identical:
+//! **The skip rule.** When no core is awake, a cycle can only deliver
+//! an event, grant the bus, wake a core at its decay deadline or close
+//! a sampling interval, so the loop jumps `now` straight to the *idle
+//! horizon* — the first cycle at which any of those can happen:
 //!
-//! * **full scan** — phases 3 and 4 walk every core, the reference;
-//! * **worklist** (default) — an awake-core bitmask limits both phases
-//!   to cores that can make progress. A core leaves the active set at
-//!   the end of a cycle when its own per-core slice of the quiescence
-//!   conditions holds (drained, window-blocked, or spinning on a
-//!   provably refused load/store; any L2 queue head provably retried;
-//!   no deferred turn-off) — exactly the per-core conditions of
-//!   [`CmpSystem::quiescent_wakeup`], which are frozen until a wake
-//!   edge. It re-enters on its own events, on *any* bus grant (snoops
-//!   and their side effects are the only cross-core mutation channel),
-//!   at its next decay deadline, and at bulk-skip/finalize boundaries;
-//!   on wake it is bulk-charged the per-cycle stall and retry
-//!   statistics its skipped phases would have accrued (the same
-//!   charges as [`CmpSystem::advance_quiet`]). Waking a core spuriously
-//!   is always harmless — the reference runs every core's phases every
-//!   cycle, and a blocked core's phases change nothing but those
-//!   charges — so only a *missed* wake could break equivalence, and
-//!   the edges above cover every channel that can unblock a core.
-//!   The engine also integrates the powered-lines trace as
-//!   value × span between *working* cycles (powered counts only flip
-//!   on cycles that report work) instead of re-summing every cycle.
-//!   Equivalence is enforced by `tests/cycle_engine_differential.rs`
-//!   and the golden sweep snapshot.
+//! | term | why |
+//! |---|---|
+//! | earliest pending event | delivery wakes its core |
+//! | `SharedBus::next_possible_grant` | a grant wakes every core |
+//! | `SharedBus::quiesce_at`, when later than `now` | the drain check (`done`) can flip there |
+//! | earliest sleeping core's decay deadline | its decay tick is processed on time |
+//! | last cycle of the sampling interval | the interval closes at its end |
+//! | `max_cycles`, the segment limit | the run or segment stops there |
 //!
-//! # Spine gating
+//! The skip wakes no core and charges nothing: sleeping cores keep the
+//! cycle they fell asleep at and settle when an edge wakes them, and
+//! the powered-lines integral is already lazy. Equivalence is enforced
+//! by `tests/cycle_engine_differential.rs` and the golden sweep
+//! snapshot.
 //!
-//! Even with sleeping cores skipped, phases 1–3 used to be consulted on
-//! *every stepped cycle* — the residual "spine" cost. Each spine
-//! component is instead gated behind a timestamped horizon that says
-//! when it can next possibly act, and each horizon is re-derived only
-//! at the mutation points that can move it:
+//! # Phase gates
 //!
-//! * **bus arbitration** (both engines) — skipped while
+//! Two phases of a stepped cycle are gated behind timestamped horizons
+//! in both engines, each re-derived only at the mutation points that
+//! can move it:
+//!
+//! * **bus arbitration** — skipped while
 //!   `now < SharedBus::next_possible_grant()`: `u64::MAX` with an
 //!   empty request queue, else the occupancy horizon of the holding
 //!   transaction. The queue is FIFO with no per-request readiness and a
 //!   NACK-retry re-enqueue is itself an occupancy-charged grant, so the
 //!   horizon only moves at `push` and `try_grant` — both of which the
 //!   cycle loop observes directly.
-//! * **L2 port loops** (both engines) — an awake core's phase-3 walk is
-//!   skipped while its `ports_idle` bit is set and `now` is before its
-//!   cached decay deadline (`l2_decay_due`). The bit means "read queue,
-//!   write-retry queue and write buffer are empty, and no deferred
-//!   turn-offs are parked", a state only the core itself can leave; it
-//!   is cleared at exactly the three enqueue points
-//!   ([`PortAdapter`] `try_load` miss, `try_store` accept, and the
-//!   write-probe retry push) and recomputed after every executed
-//!   [`L2Cache::l2_cycle`] (the only place decay/deferred state moves).
-//! * **working-span batching** (worklist engine) — when every awake
-//!   core's ports are idle, the engine runs the awake set's phase-4
-//!   ticks in lockstep in a tight loop up to the earliest spine
-//!   horizon (next event, bus grant, sleeping cores' wake, earliest
-//!   decay deadline in the set, sampling-interval close), re-checking
-//!   nothing else. The ticks cannot interact: a bus request is pushed
-//!   only when `l2_cycle` drains a port queue, and the batch requires
-//!   those queues empty, so a tick at most *arms* a queue — which
-//!   clears a `ports_idle` bit and exits the loop at the end of that
-//!   cycle. Within the span only batched cores' own L1-hit events can
-//!   fire (delivered exactly on time inside the loop), no grant or
-//!   decay tick can occur, the powered-lines value is frozen so the
-//!   lazy value × span integral charges the span exactly, and keeping
-//!   a workless core ticking is stats-neutral by the same argument
-//!   that makes spurious wakes harmless. The batch exits on the first
-//!   globally workless cycle, on any port-idle invalidation, at the
-//!   horizon, or when any batched core drains its budget (reproducing
-//!   the reference `done()` stop cycle; a core already drained at
-//!   entry blocks the batch so it can reach `try_sleep`).
+//! * **L2 port loops** — a core's phase-3 walk is skipped while its
+//!   `ports_idle` bit is set and `now` is before its cached decay
+//!   deadline (`l2_decay_due`). The bit means "read queue, write-retry
+//!   queue and write buffer are empty, and no deferred turn-offs are
+//!   parked", a state only the core itself can leave; it is cleared at
+//!   exactly the three enqueue points ([`PortAdapter`] `try_load` miss,
+//!   `try_store` accept, and the write-probe retry push) and recomputed
+//!   after every executed `l2_cycle` (the only place
+//!   decay/deferred state moves).
 //!
-//! All three are pure skip-conditions: no statistic, event, or state
-//! transition is deferred past its reference cycle, so bit-identity is
-//! preserved and enforced by the same differential matrix.
+//! Both are pure skip conditions: no statistic, event, or state
+//! transition is deferred past its reference cycle.
+//!
+//! The active set and the `ports_idle` mask are one machine word each,
+//! so a system has at most 64 cores ([`CmpConfig::validate`]).
 //!
 //! # Riders and forks
 //!
@@ -136,7 +110,7 @@
 //! bit-identically.
 
 use crate::bus::{BusReq, BusReqKind, SharedBus};
-use crate::config::{CmpConfig, CycleEngine, MemConfig, SimKernel};
+use crate::config::{CmpConfig, CycleEngine, MemConfig};
 use crate::l1::{L1Cache, L1LoadOutcome, PendingLoad};
 use crate::l2::{L2Cache, L2ReadOutcome, L2WriteOutcome, SideEffects, UpgradeResult};
 use crate::stats::{IntervalActivity, SimStats};
@@ -265,8 +239,8 @@ enum SleepCharge {
 
 /// Deferred accounting for a core outside the active set. `since` is
 /// the first cycle whose phases were skipped; on wake at cycle `w`, the
-/// span `w - since` is bulk-charged exactly as
-/// [`CmpSystem::advance_quiet`] would have charged it.
+/// span `w - since` is bulk-charged exactly what the reference's
+/// per-cycle phases would have charged ([`CmpSystem::settle_core`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct CoreSleep {
     since: u64,
@@ -307,7 +281,8 @@ struct CoreSnap {
 pub struct CycleProfile {
     /// Cycles executed by `step_cycle`.
     pub cycles_stepped: u64,
-    /// Cycles advanced in bulk by the quiescence-skip kernel.
+    /// Cycles the worklist engine jumped over with every core asleep
+    /// (the skip rule; see the module docs).
     pub cycles_skipped: u64,
     /// Events delivered.
     pub events_popped: u64,
@@ -325,9 +300,10 @@ pub struct CycleProfile {
     /// Awake-core L2 port loops skipped because the per-core
     /// `ports_idle` bit proved the whole phase a no-op.
     pub port_loops_skipped: u64,
-    /// Cycles executed inside a working-span batch (lockstep tick-only
-    /// inner loop over the awake set; counted separately from
-    /// `cycles_stepped`).
+    /// Always 0. Cycles once ran in a working-span batch, a tick-only
+    /// inner loop that measured flat and was removed; the field stays
+    /// so reports that read it keep their schema. Every cycle is now
+    /// either stepped or skipped.
     pub cycles_batched: u64,
 }
 
@@ -385,16 +361,6 @@ impl CycleProfile {
             self.port_loops_skipped += 1;
         }
     }
-
-    #[inline]
-    fn on_batch(&mut self, span: u64) {
-        #[cfg(feature = "cycle-profile")]
-        {
-            self.cycles_batched += span;
-        }
-        #[cfg(not(feature = "cycle-profile"))]
-        let _ = span;
-    }
 }
 
 /// Minimum (and default) bucket-ring window of the delayed event queue.
@@ -404,15 +370,11 @@ const MIN_EVENT_WINDOW: usize = 1024;
 /// extreme memory latencies (everything farther uses the overflow heap).
 const MAX_EVENT_WINDOW: usize = 16 * 1024;
 
-/// Minimum profitable working-span batch: below this the entry checks
-/// cost about as much as the per-cycle spine they replace.
-const BATCH_MIN: u64 = 4;
-
 /// Occupancy counters of the bucketed event queue, exposed for tuning
 /// (ROADMAP "calendar-queue tuning"): how often events landed in the
 /// ring vs. spilled to the overflow heap, and how many spilled events
 /// had to migrate back as the window slid. Debug/diagnostic only — the
-/// two kernels advance the cursor differently, so these counters are
+/// two engines advance the cursor differently, so these counters are
 /// *not* part of the bit-identity contract and never enter `SimStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventQueueStats {
@@ -589,7 +551,7 @@ impl EventQueue {
         unreachable!("in_buckets > 0 but no occupied bucket")
     }
 
-    /// Earliest pending event cycle (the skip kernel's event wakeup).
+    /// Earliest pending event cycle (the idle horizon's event term).
     fn next_at(&self) -> Option<u64> {
         let bucket = self.next_bucket_at();
         let over = self.overflow.peek().map(|&Reverse((at, _, _))| at);
@@ -651,14 +613,6 @@ impl EventQueue {
         self.seq = src.seq;
         self.in_buckets = src.in_buckets;
         self.stats = EventQueueStats { window: src.stats.window, ..Default::default() };
-    }
-
-    /// Monotone push counter: comparing it across a span detects whether
-    /// any event was scheduled in between (the working-span batch uses
-    /// it to notice its own ticks arming a wakeup). Pops never move it.
-    #[inline]
-    fn push_seq(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -906,9 +860,8 @@ pub struct CmpSystem {
     /// quiet cycle.
     struct_dirty: bool,
     struct_quiet: bool,
-    // ---- worklist engine state (see the module docs, "Engines") ----
-    /// Effective engine: the configured [`CycleEngine::Worklist`] with
-    /// the >64-core fallback to the full scan already applied.
+    // ---- worklist engine state (see the module docs) ----
+    /// Whether the configured engine is [`CycleEngine::Worklist`].
     worklist: bool,
     /// One bit per core in the active set. Ground truth for sleep
     /// state; `sleep[c]` is meaningful only while bit `c` is clear.
@@ -939,7 +892,7 @@ pub struct CmpSystem {
     /// Cycle-cost attribution (no-op unless the `cycle-profile` feature
     /// is on).
     profile: CycleProfile,
-    // ---- spine gating (see the module docs, "Spine gating") ----
+    // ---- phase gates (see the module docs, "Phase gates") ----
     /// One bit per core: set while that core's whole L2 port phase
     /// ([`CmpSystem::l2_cycle`]) is provably a no-op — read queue, write
     /// retry queue and write buffer all empty, no deferred turn-off
@@ -1058,10 +1011,9 @@ impl CmpSystem {
             .map(|_| L2Cache::new_in(&cfg.l2, cfg.technique, cfg.shadow_tags, &mut arena))
             .collect();
         let bus = SharedBus::new(cfg.bus, cfg.mem, cfg.l2.line_bytes);
-        // The worklist's active-set mask is one machine word; wider
-        // systems fall back to the full scan (bit-identical anyway).
-        let worklist = cfg.engine == CycleEngine::Worklist && cfg.n_cores <= 64;
-        let all_mask = if cfg.n_cores >= 64 { !0u64 } else { (1u64 << cfg.n_cores) - 1 };
+        let worklist = cfg.engine == CycleEngine::Worklist;
+        // `validate` bounds `n_cores` to 1..=64, the mask width.
+        let all_mask = u64::MAX >> (64 - cfg.n_cores);
         let lines_total = l2s.iter().map(|l| l.geometry().lines() as u64).sum();
         let powered_cache = l2s.iter().map(|l| l.powered_lines()).sum();
         // All ports-idle bits start clear: the first cycle runs every
@@ -1263,33 +1215,9 @@ impl CmpSystem {
     }
 
     fn run_loop(&mut self) {
-        match self.cfg.kernel {
-            SimKernel::PerCycle => {
-                while !self.done() && self.now < self.cfg.max_cycles {
-                    self.step_cycle();
-                }
-            }
-            SimKernel::QuiescenceSkip => {
-                // Only probe for quiescence after a cycle that did no
-                // work: active phases pay zero check overhead, quiet
-                // spans pay one plain step at their first cycle (which
-                // is exact anyway — stepping is always allowed).
-                let mut try_skip = false;
-                loop {
-                    if self.done() || self.now >= self.cfg.max_cycles {
-                        break;
-                    }
-                    if try_skip {
-                        if let Some(target) = self.quiescent_wakeup() {
-                            self.advance_quiet(target);
-                            // The span may have reached the drain
-                            // horizon or the cycle cap: recheck before
-                            // stepping the wake cycle.
-                            continue;
-                        }
-                    }
-                    try_skip = !self.step_cycle();
-                }
+        while !self.done() && self.now < self.cfg.max_cycles {
+            if !self.skip_idle(u64::MAX) {
+                self.step_cycle();
             }
         }
     }
@@ -1332,60 +1260,61 @@ impl CmpSystem {
         pos: &mut [u64],
         limit: u64,
     ) -> Segment {
-        match self.cfg.kernel {
-            SimKernel::PerCycle => loop {
-                if self.done() || self.now >= self.cfg.max_cycles {
-                    break;
-                }
-                if self.now >= limit {
-                    return Segment::Paused;
-                }
-                let mut safe = self.starvation_free_cycles(window, pos).min(limit - self.now);
+        // A skip ticks no core, so it consumes no ops and is not charged
+        // against the starvation budget.
+        let mut safe = 0;
+        while !self.done() && self.now < self.cfg.max_cycles {
+            if self.now >= limit {
+                return Segment::Paused;
+            }
+            if self.skip_idle(limit) {
+                continue;
+            }
+            if safe == 0 {
+                safe = self.starvation_free_cycles(window, pos);
                 if safe == 0 {
                     return Segment::Starved;
                 }
-                while safe > 0 && !self.done() && self.now < self.cfg.max_cycles {
-                    self.step_cycle_with(&mut Feed::Window { window, pos: &mut *pos });
-                    safe -= 1;
-                }
-            },
-            SimKernel::QuiescenceSkip => {
-                // Mirrors `run_loop`'s skip kernel: quiet spans advance
-                // in bulk (never past the limit — a shorter skip is
-                // always exact). A quiet cycle ticks no core, so
-                // skipping never touches the window and is not charged
-                // against the starvation budget (it consumes no ops).
-                let mut try_skip = false;
-                loop {
-                    if self.done() || self.now >= self.cfg.max_cycles {
-                        break;
-                    }
-                    if self.now >= limit {
-                        return Segment::Paused;
-                    }
-                    let mut safe = self.starvation_free_cycles(window, pos);
-                    if safe == 0 {
-                        return Segment::Starved;
-                    }
-                    while safe > 0
-                        && !self.done()
-                        && self.now < self.cfg.max_cycles
-                        && self.now < limit
-                    {
-                        if try_skip {
-                            if let Some(target) = self.quiescent_wakeup() {
-                                self.advance_quiet(target.min(limit));
-                                continue;
-                            }
-                        }
-                        try_skip =
-                            !self.step_cycle_with(&mut Feed::Window { window, pos: &mut *pos });
-                        safe -= 1;
-                    }
-                }
             }
+            self.step_cycle_with(&mut Feed::Window { window, pos: &mut *pos });
+            safe -= 1;
         }
         Segment::Done
+    }
+
+    /// The skip rule (see the module docs): with no core awake, jump
+    /// `now` to the idle horizon, never past `limit`. Wakes no core and
+    /// charges nothing. Returns whether time moved.
+    #[inline]
+    fn skip_idle(&mut self, limit: u64) -> bool {
+        if self.awake != 0 {
+            return false;
+        }
+        let to = self.idle_horizon(limit);
+        if to <= self.now {
+            return false;
+        }
+        self.profile.on_skip(to - self.now);
+        self.now = to;
+        true
+    }
+
+    /// First cycle at which anything can act while every core sleeps:
+    /// the earliest pending event, the bus grant horizon, the bus drain
+    /// horizon (for the drain check), the sleeping cores' earliest decay
+    /// deadline, the interval's last cycle (its close runs at the end of
+    /// that cycle), the cycle cap and `limit`. Every cycle before it
+    /// changes nothing but time.
+    fn idle_horizon(&self, limit: u64) -> u64 {
+        let mut h = self.events.next_at().unwrap_or(u64::MAX);
+        h = h.min(self.bus.next_possible_grant());
+        let drain = self.bus.quiesce_at();
+        if drain > self.now {
+            h = h.min(drain);
+        }
+        h = h.min(self.next_core_wake);
+        h = h.min(self.interval_start + self.cfg.sample_interval - 1);
+        h.min(self.cfg.max_cycles).min(limit)
     }
 
     /// Drain check. The structural half (queues, cores, events) only
@@ -1419,10 +1348,10 @@ impl CmpSystem {
         }
     }
 
-    /// The reference engine: every stepped cycle walks every core.
-    /// ("Reference" for the worklist's active set, not for spine gating:
-    /// the grant-horizon and ports-idle gates skip provable no-ops and
-    /// apply to both engines alike.)
+    /// The reference engine: every cycle is stepped and walks every core.
+    /// ("Reference" for the worklist's active set and skip rule, not for
+    /// the phase gates: the grant-horizon and ports-idle gates skip
+    /// provable no-ops and apply to both engines alike.)
     fn step_cycle_scan(&mut self, feed: &mut Feed) -> bool {
         let mut work = false;
         while let Some(ev) = self.events.pop_due(self.now) {
@@ -1457,27 +1386,6 @@ impl CmpSystem {
     /// and retry charges, which are settled in bulk when it wakes. See
     /// the module docs ("Engines") for the invariants.
     fn step_cycle_worklist(&mut self, feed: &mut Feed) -> bool {
-        // Working span: when every awake core's L2 ports are provably
-        // idle and every spine horizon is strictly ahead, their ticks
-        // cannot interact (bus requests are only pushed when a port
-        // queue drains, and those queues are empty), so the whole awake
-        // set runs in lockstep in a tight inner loop instead of
-        // re-consulting the spine each cycle. Own-source feeds only —
-        // the lane engine's starvation budget is debited per
-        // `run_segment` step, which a multi-cycle batch would bypass.
-        // A core already drained at entry is excluded (it must reach
-        // `try_sleep` on a normal cycle, or it would re-trigger the
-        // batch's drain exit every span).
-        if self.awake != 0
-            && self.awake & self.ports_idle == self.awake
-            && matches!(feed, Feed::Own)
-            && !self.any_drained(self.awake)
-        {
-            let horizon = self.batch_horizon(self.awake);
-            if horizon > self.now && horizon - self.now >= BATCH_MIN {
-                return self.run_batch(self.awake, horizon);
-            }
-        }
         let mut work = false;
         // Every event is addressed to one core and mutates only that
         // core's state: wake it (settling its deferred charges) before
@@ -1554,8 +1462,7 @@ impl CmpSystem {
     // ---- worklist engine --------------------------------------------------
 
     /// Charge a sleeping core the per-cycle statistics its skipped
-    /// phases would have accrued — the same spec as
-    /// [`CmpSystem::advance_quiet`]: one stall of its blocking kind per
+    /// phases would have accrued: one stall of its blocking kind per
     /// cycle, one write-buffer full-stall per cycle when spinning on a
     /// refused store, and one L2 retry per jammed queue head per cycle.
     fn settle_core(&mut self, core: usize) {
@@ -1593,7 +1500,7 @@ impl CmpSystem {
         }
     }
 
-    /// Wake every sleeping core (bus grant, bulk skip, finalize).
+    /// Wake every sleeping core (bus grant, fork, finalize).
     fn wake_all(&mut self) {
         let mut sleeping = self.all_mask & !self.awake;
         while sleeping != 0 {
@@ -1626,9 +1533,8 @@ impl CmpSystem {
     }
 
     /// Remove `core` from the active set if its phases are provably
-    /// no-ops until a wake edge — the per-core slice of the conditions
-    /// [`CmpSystem::quiescent_wakeup`] checks globally. Evaluated at
-    /// the end of a cycle, after the core's phases ran.
+    /// no-ops until a wake edge (see the module docs). Evaluated at the
+    /// end of a cycle, after the core's phases ran.
     fn try_sleep(&mut self, core: usize) {
         let charge = match self.cores[core].progress_state() {
             ProgressState::Ready => return,
@@ -1680,7 +1586,7 @@ impl CmpSystem {
         }
     }
 
-    // ---- spine gating -----------------------------------------------------
+    // ---- phase gates ------------------------------------------------------
 
     /// The ports-idle predicate, recomputed from scratch: whether
     /// `core`'s next [`CmpSystem::l2_cycle`] is provably a no-op apart
@@ -1733,122 +1639,6 @@ impl CmpSystem {
         work
     }
 
-    /// True if any core in `mask` has drained its instruction budget.
-    #[inline]
-    fn any_drained(&self, mask: u64) -> bool {
-        let mut pending = mask;
-        while pending != 0 {
-            let core = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            if self.cores[core].drained() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// First cycle at which anything other than the batched cores' own
-    /// ticks could act: the earliest pending event, the bus grant
-    /// horizon, the sleeping cores' earliest decay wake, the earliest
-    /// decay deadline among the batched cores, the sampling-interval
-    /// close and the cycle cap. Cycles strictly before it can run as
-    /// pure ticks.
-    fn batch_horizon(&self, mask: u64) -> u64 {
-        let mut h = self.events.next_at().unwrap_or(u64::MAX);
-        h = h.min(self.bus.next_possible_grant());
-        h = h.min(self.next_core_wake);
-        let mut pending = mask;
-        while pending != 0 {
-            let core = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            h = h.min(self.l2_decay_due[core]);
-        }
-        // The interval's last cycle must be stepped normally: its close
-        // runs at the end of that cycle.
-        h = h.min(self.interval_start + self.cfg.sample_interval - 1);
-        h.min(self.cfg.max_cycles)
-    }
-
-    /// Tick the awake set in lockstep in a tight loop over
-    /// `[now, horizon)`.
-    ///
-    /// Equivalence argument, piece by piece: with every non-batched core
-    /// asleep and `ports_idle` covering the batch, a reference cycle in
-    /// the span would run (a) no event delivery before one is due —
-    /// pre-existing events bound the horizon, and events pushed *by the
-    /// batch's own ticks* are delivered in-loop exactly when due (they
-    /// are batched cores' own L1 hits, the only kind a tick can push,
-    /// and an L1 hit mutates only its own core); (b) no bus grant — the
-    /// grant horizon bounds the span, and nothing in a tick enqueues on
-    /// the bus (a miss arms a port queue, and the bus request is pushed
-    /// only when `l2_cycle` later drains it — empty queues mean no
-    /// pushes), so the batched ticks are mutually non-interacting and
-    /// lockstep order equals the reference's per-cycle core order;
-    /// (c) no L2 phase work — `ports_idle` holds until a tick enqueue
-    /// clears some core's bit, which exits the loop; (d) the ticks
-    /// themselves, executed here identically; (e) powered/interval
-    /// bookkeeping — no tick touches an L2, so the powered value is
-    /// frozen and PR 8's value×span integral charges the span exactly,
-    /// and the interval close bounds the horizon. `try_sleep` is
-    /// deferred to the next normal cycle: keeping a core awake is always
-    /// stats-neutral (the reference ticks blocked cores every cycle, and
-    /// those ticks charge exactly what the sleep settle would).
-    fn run_batch(&mut self, mask: u64, horizon: u64) -> bool {
-        debug_assert_eq!(self.awake, mask, "batch must cover exactly the awake set");
-        debug_assert_eq!(self.ports_idle & mask, mask, "batch entered with armed L2 ports");
-        self.snap_dirty |= mask;
-        let start = self.now;
-        // No pending event lies inside the horizon at entry; ticks can
-        // only schedule batched cores' own L1-hit completions, tracked
-        // here so they are delivered exactly on time.
-        let mut next_ev = u64::MAX;
-        let mut any = false;
-        let mut work;
-        loop {
-            work = false;
-            if self.now >= next_ev {
-                while let Some(ev) = self.events.pop_due(self.now) {
-                    self.profile.on_event();
-                    debug_assert!(
-                        mask & (1u64 << ev.core()) != 0,
-                        "foreign event inside a working-span batch"
-                    );
-                    self.handle_event(ev);
-                    work = true;
-                }
-                next_ev = self.events.next_at().unwrap_or(u64::MAX);
-            }
-            let seq = self.events.push_seq();
-            let mut pending = mask;
-            while pending != 0 {
-                let core = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                work |= self.tick_core(core, &mut Feed::Own);
-            }
-            if self.events.push_seq() != seq {
-                next_ev = next_ev.min(self.events.next_at().unwrap_or(u64::MAX));
-            }
-            any |= work;
-            self.now += 1;
-            // Exit on the first cycle where no batched core did anything
-            // (let the kernel probe for a quiescent span), on a tick
-            // enqueue arming any core's L2 ports, at the horizon, or the
-            // moment any core drains — the run's drain check (`done`)
-            // can flip only then, and the reference loop consults it
-            // after every cycle.
-            if !work
-                || self.ports_idle & mask != mask
-                || self.now >= horizon
-                || self.any_drained(mask)
-            {
-                break;
-            }
-        }
-        self.profile.on_batch(self.now - start);
-        self.struct_dirty |= any;
-        work
-    }
-
     /// Charge cycles `[powered_synced_at, t)` into the interval's
     /// powered-lines integral at the cached (provably constant over
     /// that span) value.
@@ -1858,151 +1648,6 @@ impl CmpSystem {
             self.interval_powered += self.powered_cache * (t - self.powered_synced_at);
             self.powered_synced_at = t;
         }
-    }
-
-    // ---- quiescence skipping ----------------------------------------------
-
-    /// If nothing can make progress at the current cycle, return the
-    /// next cycle at which something can (always `> now`); `None` means
-    /// the cycle must be stepped normally.
-    ///
-    /// Wakeup sources: the earliest pending event, the bus's next
-    /// possible grant (queue non-empty) or drain horizon (for the
-    /// termination check), each cache's next decay tick, and the cycle
-    /// whose sample closes the current interval. Skipping never passes
-    /// any of them, so a skipped span provably contains no activity.
-    fn quiescent_wakeup(&self) -> Option<u64> {
-        // Anything due *this* cycle forces a step.
-        if self.events.next_at().is_some_and(|t| t <= self.now) {
-            return None;
-        }
-        if !self.bus.queue_is_empty() && self.bus.busy_until() <= self.now {
-            return None;
-        }
-        for core in 0..self.cfg.n_cores {
-            if self.l2s[core].has_deferred_turnoffs() {
-                return None;
-            }
-            // A pending L1 read miss blocks the span only if the L2
-            // provably keeps refusing the queue's head (transient line /
-            // full MSHR). The refusal is stable until an event or bus
-            // grant — both wakeup sources — so read-burst spans jammed
-            // on a saturated MSHR are skippable like write bursts.
-            if let Some(&line) = self.read_queues[core].front() {
-                if !self.l2s[core].read_would_retry(line) {
-                    return None;
-                }
-            }
-            // A pending write drain blocks the span only if the L2
-            // provably keeps refusing its head (retry queue first, then
-            // the write buffer — the order the port loop serves). The
-            // refusal is stable until an event or bus grant — both
-            // wakeup sources — so blocked-on-reject write bursts no
-            // longer force per-cycle stepping.
-            if let Some(line) = self.write_retries[core].front().or_else(|| self.wbs[core].head()) {
-                if !self.l2s[core].write_would_retry(line) {
-                    return None;
-                }
-            }
-            if self.l2s[core].next_decay_deadline().is_some_and(|t| t <= self.now) {
-                return None;
-            }
-            match self.cores[core].progress_state() {
-                ProgressState::Idle | ProgressState::WindowBlocked => {}
-                ProgressState::RetryLoad(addr) => {
-                    // Blocked only if the L1 provably keeps refusing the
-                    // retried load (its state is frozen until an event).
-                    let line = self.cfg.l1.geometry().line_of(addr);
-                    if !self.l1s[core].load_would_refuse(line) {
-                        return None;
-                    }
-                }
-                ProgressState::RetryStore(addr) => {
-                    // Blocked only if the write buffer keeps refusing —
-                    // it is full, not coalescing, and (vetted above) its
-                    // drain head cannot make progress either.
-                    let line = self.cfg.l1.geometry().line_of(addr);
-                    if !self.wbs[core].store_would_refuse(line) {
-                        return None;
-                    }
-                }
-                ProgressState::Ready => return None,
-            }
-        }
-        let mut wake = u64::MAX;
-        if let Some(t) = self.events.next_at() {
-            wake = wake.min(t);
-        }
-        if !self.bus.queue_is_empty() {
-            wake = wake.min(self.bus.busy_until());
-        }
-        let drain = self.bus.quiesce_at();
-        if drain > self.now {
-            // Not an activity source, but `done()` can flip here once
-            // the channels run dry.
-            wake = wake.min(drain);
-        }
-        for l2 in &self.l2s {
-            if let Some(t) = l2.next_decay_deadline() {
-                wake = wake.min(t);
-            }
-        }
-        // The interval's last cycle must be stepped: its sample closes
-        // the books at the boundary.
-        wake = wake.min(self.interval_start + self.cfg.sample_interval - 1);
-        wake = wake.min(self.cfg.max_cycles);
-        (wake > self.now).then_some(wake)
-    }
-
-    /// Advance time in bulk over a span vetted by
-    /// [`CmpSystem::quiescent_wakeup`]: charge the powered-lines leakage
-    /// integral as value × elapsed span (every component's powered count
-    /// is frozen) and bulk-charge each blocked core the stall statistics
-    /// its per-cycle ticks would have accrued — including, for a core
-    /// spinning on a refused store, the write buffer's full-stall count,
-    /// and for any core with a blocked write drain, the one L2 retry its
-    /// head probe would have accrued each cycle.
-    fn advance_quiet(&mut self, target: u64) {
-        let span = target - self.now;
-        self.profile.on_skip(span);
-        if self.worklist {
-            // Settle every sleeping core through `now` first, so the
-            // bulk charges below cover exactly `[now, target)` with no
-            // overlap; the powered integral stays lazy (the value is
-            // frozen over the span, so `sync_powered_to` at the next
-            // interval close or working cycle charges it exactly).
-            self.wake_all();
-        } else {
-            let powered: u64 = self.l2s.iter().map(|l| l.powered_lines()).sum();
-            self.interval_powered += powered * span;
-        }
-        for core in 0..self.cfg.n_cores {
-            match self.cores[core].progress_state() {
-                ProgressState::Idle => {}
-                ProgressState::WindowBlocked => {
-                    self.cores[core].charge_stall_cycles(StallKind::Window, span)
-                }
-                ProgressState::RetryLoad(_) => {
-                    self.cores[core].charge_stall_cycles(StallKind::Reject, span)
-                }
-                ProgressState::RetryStore(_) => {
-                    self.cores[core].charge_stall_cycles(StallKind::Reject, span);
-                    self.wbs[core].charge_full_stalls(span);
-                }
-                // audit:allow(unwrap-in-lib, advance_quiet only runs after every core reported a non-Ready progress state)
-                ProgressState::Ready => unreachable!("quiescence check vetted all cores"),
-            }
-            // The port loop re-probes each blocked queue head once per
-            // cycle, counting one retry per probe: one for a jammed read
-            // head, one for a jammed write-drain head.
-            if !self.read_queues[core].is_empty() {
-                self.l2s[core].charge_retries(span);
-            }
-            if self.write_retries[core].front().or_else(|| self.wbs[core].head()).is_some() {
-                self.l2s[core].charge_retries(span);
-            }
-        }
-        self.now = target;
     }
 
     // ---- events -----------------------------------------------------------
@@ -2198,8 +1843,7 @@ impl CmpSystem {
                     self.read_queues[core].pop_front();
                 }
                 // A retried head changes nothing structural (one retry
-                // counter tick only): not reported as work, so the skip
-                // kernel gets to probe whether the blockage is provable.
+                // counter tick only): not reported as work.
                 L2ReadOutcome::Retry => break,
             }
             ops += 1;
@@ -2215,8 +1859,7 @@ impl CmpSystem {
             let outcome = self.issue_write_probe_inner(core, line);
             match outcome {
                 // A retried head changes nothing structural (one retry
-                // counter tick only): not reported as work, so the skip
-                // kernel gets to probe whether the blockage is provable.
+                // counter tick only): not reported as work.
                 L2WriteOutcome::Retry => break,
                 _ => {
                     work = true;
@@ -2598,9 +2241,9 @@ mod tests {
 
     #[test]
     fn rider_forked_while_cores_sleep_matches_its_solo_run() {
-        for kernel in [SimKernel::QuiescenceSkip, SimKernel::PerCycle] {
+        for engine in [CycleEngine::Worklist, CycleEngine::FullScan] {
             let mut trunk_cfg = tiny_cfg(Technique::Decay { decay_cycles: 1 << 16 });
-            trunk_cfg.kernel = kernel;
+            trunk_cfg.engine = engine;
             let rider_cfg = CmpConfig {
                 technique: Technique::SelectiveDecay { decay_cycles: 2048 },
                 ..trunk_cfg
@@ -2615,7 +2258,9 @@ mod tests {
             let mut pos = vec![0u64; 2];
             assert_eq!(drive(&mut trunk, &mut window, &mut pos, fork_at), Segment::Paused);
             assert_eq!(trunk.now(), fork_at);
-            assert_ne!(trunk.awake, trunk.all_mask, "{kernel:?}: core 1 must sleep at the fork");
+            if engine == CycleEngine::Worklist {
+                assert_ne!(trunk.awake, trunk.all_mask, "core 1 must sleep at the fork");
+            }
             let mut rider = trunk.fork_rider(0, &mut rider_scratch);
             let mut rider_pos = pos.clone();
             // Positions only anchor the window: both lanes sit at the
@@ -2635,8 +2280,8 @@ mod tests {
             let (trunk_stats, rider_stats) = (trunk.finalize(), rider.finalize());
             let solo =
                 |cfg| run_sources_with_scratch(cfg, lopsided_sources(), &mut SimScratch::default());
-            assert_eq!(trunk_stats, solo(trunk_cfg), "{kernel:?}: the trunk after a fork");
-            assert_eq!(rider_stats, solo(rider_cfg), "{kernel:?}: the forked rider");
+            assert_eq!(trunk_stats, solo(trunk_cfg), "{engine:?}: the trunk after a fork");
+            assert_eq!(rider_stats, solo(rider_cfg), "{engine:?}: the forked rider");
             assert!(rider_stats.cycles > fork_at, "the rider must run on after its fork");
         }
     }
@@ -2747,31 +2392,11 @@ mod tests {
         assert_eq!(a.l2_on_line_cycles, b.l2_on_line_cycles);
     }
 
-    fn run_both_kernels(mut cfg: CmpConfig, wl: impl Fn() -> Vec<Box<dyn Workload>>) -> SimStats {
-        cfg.kernel = crate::config::SimKernel::PerCycle;
-        let reference = run_simulation(cfg, wl());
-        cfg.kernel = crate::config::SimKernel::QuiescenceSkip;
-        let skipping = run_simulation(cfg, wl());
-        assert_eq!(reference, skipping, "kernels must be bit-identical");
-        skipping
-    }
-
-    /// Run the full kernel × engine matrix and assert all four cells
-    /// agree bit for bit.
-    fn run_engine_matrix(cfg: CmpConfig, wl: impl Fn() -> Vec<Box<dyn Workload>>) -> SimStats {
-        let mut out = Vec::new();
-        for kernel in [SimKernel::PerCycle, SimKernel::QuiescenceSkip] {
-            for engine in [CycleEngine::FullScan, CycleEngine::Worklist] {
-                let mut c = cfg;
-                c.kernel = kernel;
-                c.engine = engine;
-                out.push((kernel, engine, run_simulation(c, wl())));
-            }
-        }
-        let (_, _, reference) = out[0].clone();
-        for (kernel, engine, stats) in &out[1..] {
-            assert_eq!(&reference, stats, "{kernel:?} × {engine:?} diverged from the reference");
-        }
+    /// Run both engines and assert they agree bit for bit.
+    fn run_both_engines(cfg: CmpConfig, wl: impl Fn() -> Vec<Box<dyn Workload>>) -> SimStats {
+        let reference = run_simulation(CmpConfig { engine: CycleEngine::FullScan, ..cfg }, wl());
+        let worklist = run_simulation(CmpConfig { engine: CycleEngine::Worklist, ..cfg }, wl());
+        assert_eq!(reference, worklist, "the worklist engine diverged from the full scan");
         reference
     }
 
@@ -2783,8 +2408,8 @@ mod tests {
             Technique::Decay { decay_cycles: 2048 },
             Technique::SelectiveDecay { decay_cycles: 4096 },
         ] {
-            run_engine_matrix(tiny_cfg(technique), private_streams);
-            run_engine_matrix(tiny_cfg(technique), sharing_streams);
+            run_both_engines(tiny_cfg(technique), private_streams);
+            run_both_engines(tiny_cfg(technique), sharing_streams);
         }
     }
 
@@ -2802,16 +2427,17 @@ mod tests {
         };
         let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
         cfg.instructions_per_core = 10_000;
-        let stats = run_engine_matrix(cfg, wl);
+        let stats = run_both_engines(cfg, wl);
         assert!(stats.cores[1].window_stall_cycles > 0, "stalls must occur to be settled");
     }
 
     #[test]
     fn engines_bit_identical_through_blocked_write_bursts() {
         // Retry-storm: write buffers fill, drains jam on a saturated L2
-        // MSHR, cores spin on refused stores. The worklist engine must
-        // settle reject stalls, wb full-stalls and per-head L2 retries
-        // exactly as the per-cycle probes would have charged them.
+        // MSHR behind slow memory, cores spin on refused stores and then
+        // all sleep. The worklist engine must settle reject stalls, wb
+        // full-stalls and per-head L2 retries exactly as the per-cycle
+        // probes would have charged them.
         let wl = || -> Vec<Box<dyn Workload>> {
             (0..2)
                 .map(|c| {
@@ -2822,16 +2448,27 @@ mod tests {
                 })
                 .collect()
         };
-        let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
-        cfg.instructions_per_core = 6_000;
-        cfg.mem.latency = 1_000;
-        let stats = run_engine_matrix(cfg, wl);
-        let rejects: u64 = stats.cores.iter().map(|c| c.reject_stall_cycles).sum();
-        assert!(rejects > 0, "cores must actually block on refused stores");
+        for technique in
+            [Technique::Baseline, Technique::Protocol, Technique::Decay { decay_cycles: 2048 }]
+        {
+            let mut cfg = tiny_cfg(technique);
+            cfg.instructions_per_core = 6_000;
+            cfg.mem.latency = 1_000; // long fills keep the MSHR saturated
+            let stats = run_both_engines(cfg, wl);
+            let rejects: u64 = stats.cores.iter().map(|c| c.reject_stall_cycles).sum();
+            assert!(rejects > 0, "cores must actually block on refused stores");
+            let retries: u64 = stats.l2.iter().map(|s| s.retries).sum();
+            assert!(retries > 0, "the blocked drain head must accrue L2 retries");
+        }
     }
 
     #[test]
     fn engines_bit_identical_through_blocked_read_bursts() {
+        // Load bursts to distinct lines: the L1 MSHRs outpace the L2
+        // MSHRs behind a slow memory, so the L2 read queues jam on a
+        // head the cache provably keeps refusing, and every bulk-charged
+        // counter (window stalls, the read head's L2 retries) must match
+        // the per-cycle reference exactly.
         let wl = || -> Vec<Box<dyn Workload>> {
             (0..2)
                 .map(|c| {
@@ -2842,28 +2479,208 @@ mod tests {
                 })
                 .collect()
         };
-        let mut cfg = tiny_cfg(Technique::Protocol);
-        cfg.instructions_per_core = 6_000;
-        cfg.mem.latency = 1_000;
-        cfg.l1.mshr_entries = 16;
-        cfg.l2.mshr_entries = 2;
-        cfg.core.max_outstanding_loads = 16;
-        let stats = run_engine_matrix(cfg, wl);
-        let retries: u64 = stats.l2.iter().map(|s| s.retries).sum();
-        assert!(retries > 0, "the blocked read head must accrue L2 retries");
+        for technique in
+            [Technique::Baseline, Technique::Protocol, Technique::Decay { decay_cycles: 2048 }]
+        {
+            let mut cfg = tiny_cfg(technique);
+            cfg.instructions_per_core = 6_000;
+            cfg.mem.latency = 1_000; // long fills keep the L2 MSHR saturated
+            cfg.l1.mshr_entries = 16; // the L1 feeds faster than the L2 drains
+            cfg.l2.mshr_entries = 2;
+            cfg.core.max_outstanding_loads = 16;
+            let stats = run_both_engines(cfg, wl);
+            let retries: u64 = stats.l2.iter().map(|s| s.retries).sum();
+            assert!(retries > 0, "the blocked read head must accrue L2 retries");
+            let stalls: u64 = stats.cores.iter().map(|c| c.window_stall_cycles).sum();
+            assert!(stalls > 0, "cores must actually block behind the jammed reads");
+        }
     }
 
     #[test]
     fn engines_bit_identical_at_cycle_cap_and_single_core() {
         let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 1024 });
         cfg.max_cycles = 7_777; // cut mid-run, also mid-interval
-        let stats = run_engine_matrix(cfg, private_streams);
+        let stats = run_both_engines(cfg, private_streams);
         assert_eq!(stats.cycles, 7_777);
 
         let mut cfg = tiny_cfg(Technique::SelectiveDecay { decay_cycles: 2048 });
         cfg.n_cores = 1;
         let one = || private_streams().drain(..1).collect::<Vec<_>>();
-        run_engine_matrix(cfg, one);
+        run_both_engines(cfg, one);
+    }
+
+    /// Both loops that advance time hold the skip rule: the solo kernel
+    /// (`run_loop`, own feed) and the segment kernel (`run_segment`,
+    /// windowed feed). Drive the segment kernel under the worklist
+    /// engine through a one-tick op window and a pause every 97 cycles, so
+    /// idle skips are clipped at segment limits and interleave with
+    /// starvation pauses, and assert the result reproduces the
+    /// per-cycle full-scan solo run bit for bit.
+    fn run_both_kernels(cfg: CmpConfig, wl: impl Fn() -> Vec<Box<dyn Workload>>) -> SimStats {
+        const PAUSE_EVERY: u64 = 97;
+        let reference = run_simulation(CmpConfig { engine: CycleEngine::FullScan, ..cfg }, wl());
+        let mut window = OpWindow::new(wl().into_iter().map(LiveGen::boxed).collect());
+        let names = (0..cfg.n_cores).map(|c| window.name(c).to_string()).collect();
+        let mut scratch = SimScratch::default();
+        let worklist = CmpConfig { engine: CycleEngine::Worklist, ..cfg };
+        let mut sys = CmpSystem::for_window(worklist, names, &mut scratch);
+        let mut pos = vec![0; cfg.n_cores];
+        let (mut paused, mut starved) = (0u64, 0u64);
+        loop {
+            // Buffer just one tick's worth: any fetch starves the segment.
+            window.advance(&pos, &pos, fetch_margin(cfg.core.width));
+            let limit = sys.now() + PAUSE_EVERY;
+            match sys.run_segment(&window, &mut pos, limit) {
+                Segment::Done => break,
+                Segment::Paused => {
+                    assert_eq!(sys.now(), limit, "a skip must stop at the segment limit");
+                    paused += 1;
+                }
+                Segment::Starved => starved += 1,
+            }
+        }
+        assert!(paused > 0 && starved > 0, "segments must end at both kinds of pause");
+        let segmented = sys.finalize();
+        assert_eq!(reference, segmented, "the segment kernel diverged from the per-cycle solo run");
+        segmented
+    }
+
+    #[test]
+    fn kernels_bit_identical_on_private_and_sharing_streams() {
+        for technique in [
+            Technique::Baseline,
+            Technique::Protocol,
+            Technique::Decay { decay_cycles: 2048 },
+            Technique::SelectiveDecay { decay_cycles: 4096 },
+        ] {
+            run_both_kernels(tiny_cfg(technique), private_streams);
+            run_both_kernels(tiny_cfg(technique), sharing_streams);
+        }
+    }
+
+    #[test]
+    fn kernels_bit_identical_with_idle_cores_and_memory_stalls() {
+        // Core 0 is compute-heavy and drains early (Idle spans); core 1
+        // walks a large footprint (window-blocked memory stalls): both
+        // classes of idle span, skipped between starvation pauses.
+        let wl = || -> Vec<Box<dyn Workload>> {
+            vec![
+                Box::new(ReplayWorkload::cycle(vec![TraceOp::Exec(64), TraceOp::Load(1 << 21)])),
+                Box::new(ReplayWorkload::cycle(
+                    (0..2048u64).map(|i| TraceOp::Load((2 << 20) + i * 64)).collect(),
+                )),
+            ]
+        };
+        let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
+        cfg.instructions_per_core = 10_000;
+        let stats = run_both_kernels(cfg, wl);
+        assert!(stats.cores[1].window_stall_cycles > 0, "stalls must occur to be skipped");
+    }
+
+    #[test]
+    fn kernels_bit_identical_through_blocked_write_bursts() {
+        // Store bursts to distinct lines: the write buffer fills, its
+        // drain jams on a full L2 MSHR behind slow memory, and the cores
+        // spin on refused stores, then sleep. Every counter settled on
+        // wake (reject stalls, L2 retries, wb full-stalls) must match
+        // the per-cycle reference through the lane kernel too.
+        let wl = || -> Vec<Box<dyn Workload>> {
+            (0..2)
+                .map(|c| {
+                    let base = (c as u64 + 1) << 21;
+                    let ops: Vec<TraceOp> =
+                        (0..4096u64).map(|i| TraceOp::Store(base + i * 64)).collect();
+                    Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
+                })
+                .collect()
+        };
+        for technique in
+            [Technique::Baseline, Technique::Protocol, Technique::Decay { decay_cycles: 2048 }]
+        {
+            let mut cfg = tiny_cfg(technique);
+            cfg.instructions_per_core = 6_000;
+            cfg.mem.latency = 1_000; // long fills keep the MSHR saturated
+            let stats = run_both_kernels(cfg, wl);
+            let rejects: u64 = stats.cores.iter().map(|c| c.reject_stall_cycles).sum();
+            assert!(rejects > 0, "cores must actually block on refused stores");
+            let retries: u64 = stats.l2.iter().map(|s| s.retries).sum();
+            assert!(retries > 0, "the blocked drain head must accrue L2 retries");
+        }
+    }
+
+    #[test]
+    fn kernels_bit_identical_through_blocked_read_bursts() {
+        // Load bursts to distinct lines: the L1 MSHRs outpace the L2
+        // MSHRs behind a slow memory, so the L2 read queues jam on a
+        // head the cache provably keeps refusing. Every counter settled
+        // on wake (window stalls, the read head's L2 retries) must match
+        // the per-cycle reference through the lane kernel too.
+        let wl = || -> Vec<Box<dyn Workload>> {
+            (0..2)
+                .map(|c| {
+                    let base = (c as u64 + 1) << 21;
+                    let ops: Vec<TraceOp> =
+                        (0..4096u64).map(|i| TraceOp::Load(base + i * 64)).collect();
+                    Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
+                })
+                .collect()
+        };
+        for technique in
+            [Technique::Baseline, Technique::Protocol, Technique::Decay { decay_cycles: 2048 }]
+        {
+            let mut cfg = tiny_cfg(technique);
+            cfg.instructions_per_core = 6_000;
+            cfg.mem.latency = 1_000; // long fills keep the L2 MSHR saturated
+            cfg.l1.mshr_entries = 16; // the L1 feeds faster than the L2 drains
+            cfg.l2.mshr_entries = 2;
+            cfg.core.max_outstanding_loads = 16;
+            let stats = run_both_kernels(cfg, wl);
+            let retries: u64 = stats.l2.iter().map(|s| s.retries).sum();
+            assert!(retries > 0, "the blocked read head must accrue L2 retries");
+            let stalls: u64 = stats.cores.iter().map(|c| c.window_stall_cycles).sum();
+            assert!(stalls > 0, "cores must actually block behind the jammed reads");
+        }
+    }
+
+    #[test]
+    fn kernels_bit_identical_at_cycle_cap() {
+        let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 1024 });
+        cfg.max_cycles = 7_777; // cut mid-run, also mid-interval
+        let stats = run_both_kernels(cfg, private_streams);
+        assert_eq!(stats.cycles, 7_777);
+    }
+
+    /// One small private stream per core, for the wide-system tests.
+    fn wide_streams(n: usize) -> Vec<Box<dyn Workload>> {
+        (0..n)
+            .map(|c| {
+                let base = (c as u64 + 1) << 20;
+                let ops: Vec<TraceOp> = (0..32u64)
+                    .flat_map(|i| [TraceOp::Exec(4), TraceOp::Load(base + i * 64)])
+                    .collect();
+                Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engines_bit_identical_at_the_64_core_mask_width() {
+        // Core 63 owns the top bit of every per-core mask.
+        let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 1024 });
+        cfg.n_cores = 64;
+        cfg.instructions_per_core = 400;
+        let stats = run_both_engines(cfg, || wide_streams(64));
+        assert_eq!(stats.instructions, 64 * 400, "every core retires its budget");
+        assert!(stats.cycles < 1_000_000, "a 64-core run must not livelock");
+    }
+
+    #[test]
+    #[should_panic(expected = "65 cores exceed the 64-bit per-core masks")]
+    fn rejects_more_cores_than_the_mask_width() {
+        let mut cfg = tiny_cfg(Technique::Baseline);
+        cfg.n_cores = 65;
+        cfg.engine = CycleEngine::FullScan;
+        run_simulation(cfg, wide_streams(65));
     }
 
     #[test]
@@ -2885,42 +2702,11 @@ mod tests {
     }
 
     #[test]
-    fn kernels_bit_identical_on_private_and_sharing_streams() {
-        for technique in [
-            Technique::Baseline,
-            Technique::Protocol,
-            Technique::Decay { decay_cycles: 2048 },
-            Technique::SelectiveDecay { decay_cycles: 4096 },
-        ] {
-            run_both_kernels(tiny_cfg(technique), private_streams);
-            run_both_kernels(tiny_cfg(technique), sharing_streams);
-        }
-    }
-
-    #[test]
-    fn kernels_bit_identical_with_idle_cores_and_memory_stalls() {
-        // Core 0 is compute-heavy and drains early (Idle spans); core 1
-        // pointer-chases a large footprint (window-blocked memory
-        // stalls): both classes of quiet span in one run.
-        let wl = || -> Vec<Box<dyn Workload>> {
-            vec![
-                Box::new(ReplayWorkload::cycle(vec![TraceOp::Exec(64), TraceOp::Load(1 << 21)])),
-                Box::new(ReplayWorkload::cycle(
-                    (0..2048u64).map(|i| TraceOp::Load((2 << 20) + i * 64)).collect(),
-                )),
-            ]
-        };
-        let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 2048 });
-        cfg.instructions_per_core = 10_000;
-        let stats = run_both_kernels(cfg, wl);
-        assert!(stats.cores[1].window_stall_cycles > 0, "stalls must occur to be skipped");
-    }
-
-    #[test]
-    fn kernels_bit_identical_with_memory_latency_beyond_event_window() {
+    fn engines_bit_identical_with_memory_latency_beyond_event_window() {
         // DataReady events land past the bucket ring even after the
         // adaptive window clamps at its maximum: the overflow heap and
-        // its migration are on the hot path of both kernels.
+        // its migration are on the hot path of both engines, and the
+        // worklist's idle skips jump the cursor over whole windows.
         let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 4096 });
         cfg.mem.latency = 3 * MAX_EVENT_WINDOW as u64;
         assert_eq!(
@@ -2929,7 +2715,7 @@ mod tests {
             "latency must exceed the clamped window for this test to bite"
         );
         cfg.instructions_per_core = 5_000;
-        run_both_kernels(cfg, private_streams);
+        run_both_engines(cfg, private_streams);
     }
 
     #[test]
@@ -2974,82 +2760,6 @@ mod tests {
         assert!(s.overflow_pushes > 0, "far DataReady events must spill");
         assert!(s.ring_pushes > 0, "L1 hits stay in the ring");
         assert_eq!(s.overflow_migrations, s.overflow_pushes, "every spill migrates back");
-    }
-
-    #[test]
-    fn kernels_bit_identical_through_blocked_write_bursts() {
-        // Store bursts to distinct lines: the write buffer fills, its
-        // drain jams on a full L2 MSHR behind slow memory, and the cores
-        // spin on refused stores. These spans used to force per-cycle
-        // stepping; they are now skipped, and every bulk-charged counter
-        // (reject stalls, L2 retries, wb full-stalls) must match the
-        // per-cycle reference exactly.
-        let wl = || -> Vec<Box<dyn Workload>> {
-            (0..2)
-                .map(|c| {
-                    let base = (c as u64 + 1) << 21;
-                    let ops: Vec<TraceOp> =
-                        (0..4096u64).map(|i| TraceOp::Store(base + i * 64)).collect();
-                    Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
-                })
-                .collect()
-        };
-        for technique in
-            [Technique::Baseline, Technique::Protocol, Technique::Decay { decay_cycles: 2048 }]
-        {
-            let mut cfg = tiny_cfg(technique);
-            cfg.instructions_per_core = 6_000;
-            cfg.mem.latency = 1_000; // long fills keep the MSHR saturated
-            let stats = run_both_kernels(cfg, wl);
-            let rejects: u64 = stats.cores.iter().map(|c| c.reject_stall_cycles).sum();
-            assert!(rejects > 0, "cores must actually block on refused stores");
-            let retries: u64 = stats.l2.iter().map(|s| s.retries).sum();
-            assert!(retries > 0, "the blocked drain head must accrue L2 retries");
-        }
-    }
-
-    #[test]
-    fn kernels_bit_identical_through_blocked_read_bursts() {
-        // Load bursts to distinct lines: the L1 MSHRs outpace the L2
-        // MSHRs behind a slow memory, so the L2 read queues jam on a
-        // head the cache provably keeps refusing. These spans used to
-        // force per-cycle stepping (a non-empty read queue vetoed
-        // skipping); they are now skipped, and every bulk-charged
-        // counter (window stalls, the read head's L2 retries) must match
-        // the per-cycle reference exactly.
-        let wl = || -> Vec<Box<dyn Workload>> {
-            (0..2)
-                .map(|c| {
-                    let base = (c as u64 + 1) << 21;
-                    let ops: Vec<TraceOp> =
-                        (0..4096u64).map(|i| TraceOp::Load(base + i * 64)).collect();
-                    Box::new(ReplayWorkload::cycle(ops)) as Box<dyn Workload>
-                })
-                .collect()
-        };
-        for technique in
-            [Technique::Baseline, Technique::Protocol, Technique::Decay { decay_cycles: 2048 }]
-        {
-            let mut cfg = tiny_cfg(technique);
-            cfg.instructions_per_core = 6_000;
-            cfg.mem.latency = 1_000; // long fills keep the L2 MSHR saturated
-            cfg.l1.mshr_entries = 16; // the L1 feeds faster than the L2 drains
-            cfg.l2.mshr_entries = 2;
-            cfg.core.max_outstanding_loads = 16;
-            let stats = run_both_kernels(cfg, wl);
-            let retries: u64 = stats.l2.iter().map(|s| s.retries).sum();
-            assert!(retries > 0, "the blocked read head must accrue L2 retries");
-            let stalls: u64 = stats.cores.iter().map(|c| c.window_stall_cycles).sum();
-            assert!(stalls > 0, "cores must actually block behind the jammed reads");
-        }
-    }
-
-    #[test]
-    fn kernels_bit_identical_at_cycle_cap() {
-        let mut cfg = tiny_cfg(Technique::Decay { decay_cycles: 1024 });
-        cfg.max_cycles = 7_777; // cut mid-run, also mid-interval
-        let stats = run_both_kernels(cfg, private_streams);
-        assert_eq!(stats.cycles, 7_777);
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! The two-kernel differential oracle.
 //!
-//! The quiescence-skipping kernel claims bit-identity with the
-//! per-cycle reference loop: same `SimStats` (every counter, every
-//! per-core stall breakdown, every sampled interval) and therefore the
-//! same `PowerReport`. This suite pins that claim across every paper
-//! technique, every scenario kind (homogeneous, heterogeneous mix,
-//! trace replay), and a randomized grid of workload/seed/size
-//! combinations. Any divergence — a missed wakeup source, a stall
+//! Two loops advance simulated time and both hold the skip rule: the
+//! solo kernel (`run_experiment`, one configuration over its own
+//! sources) and the segment kernel (`run_experiment_lanes`, which steps
+//! over a shared decoded op window). This suite runs every
+//! configuration as a one-lane group under the worklist engine — idle
+//! skips through the windowed feed, no riders — and claims bit-identity
+//! with the per-cycle full-scan solo run: same `SimStats` (every
+//! counter, every per-core stall breakdown, every sampled interval) and
+//! therefore the same `PowerReport`. It pins the claim across every
+//! paper technique, every scenario kind (homogeneous, heterogeneous
+//! mix, trace replay) and a randomized grid of workload/seed/size
+//! combinations. Any divergence — a skip that consumed ops, a stall
 //! cycle charged to the wrong counter, a decay tick applied late — is a
-//! kernel bug by definition.
+//! kernel bug by definition. (Skips clipped at segment pauses and
+//! interleaved with window starvation are pinned by the system crate's
+//! `kernels_bit_identical_*` unit tests.)
 
 use cmp_leakage::coherence::Technique;
+use cmp_leakage::core::experiment::{run_experiment_lanes, ExperimentScratch};
 use cmp_leakage::core::{run_experiment, ExperimentConfig, Scenario};
-use cmp_leakage::system::SimKernel;
-use cmp_leakage::workloads::{BenchClass, ScenarioSpec, WorkloadSpec};
+use cmp_leakage::system::CycleEngine;
+use cmp_leakage::workloads::{ScenarioSpec, WorkloadSpec};
 use proptest::prelude::*;
 
 const INSTR: u64 = 25_000;
@@ -24,18 +32,21 @@ fn all_techniques() -> Vec<Technique> {
     v
 }
 
-fn assert_kernels_agree(mut cfg: ExperimentConfig, tag: &str) {
-    cfg.kernel = SimKernel::PerCycle;
-    let reference = run_experiment(&cfg);
-    cfg.kernel = SimKernel::QuiescenceSkip;
-    let skipping = run_experiment(&cfg);
+/// Assert the worklist segment kernel reproduces the full-scan solo run.
+fn assert_kernels_agree(cfg: ExperimentConfig, tag: &str) {
+    let reference =
+        run_experiment(&ExperimentConfig { engine: CycleEngine::FullScan, ..cfg.clone() });
+    let lane = ExperimentConfig { engine: CycleEngine::Worklist, ..cfg };
+    let segmented =
+        run_experiment_lanes(std::slice::from_ref(&lane), &mut ExperimentScratch::default())
+            .remove(0);
     assert_eq!(
-        reference.stats, skipping.stats,
-        "{tag}/{}: quiescence-skipping SimStats diverged from the per-cycle kernel",
+        reference.stats, segmented.stats,
+        "{tag}/{}: segment-kernel SimStats diverged from the per-cycle solo run",
         reference.technique
     );
     assert_eq!(
-        reference.power, skipping.power,
+        reference.power, segmented.power,
         "{tag}/{}: PowerReport diverged between kernels",
         reference.technique
     );
@@ -56,40 +67,9 @@ fn kernels_agree_for_every_technique_homogeneous() {
 
 #[test]
 fn kernels_agree_for_every_technique_mix() {
-    // bursty_idle is the skip kernel's best case (long all-blocked
-    // spans) and thus its most bug-exposing scenario.
+    // bursty_idle has long all-asleep spans, so most of its cycles are
+    // skipped: the skip rule's best case and its most bug-exposing one.
     differential_over_techniques(Scenario::Mix(ScenarioSpec::bursty_idle()), "mix_bursty_idle");
-}
-
-#[test]
-fn kernels_agree_for_every_technique_read_burst() {
-    // A read-burst stresser: pure-load streaming bursts with no exec
-    // gaps, so the L1s fire misses into the L2 read queues as fast as
-    // dispatch allows. Spans where a jammed read head provably keeps
-    // retrying (transient line / saturated MSHR) are skippable since
-    // `L2Cache::read_would_retry`; this pins that the skip stays
-    // bit-identical through read-dominated phases for every technique.
-    // (The queue-jam microstructure itself — small MSHRs behind a slow
-    // memory — is additionally pinned by the system crate's
-    // `kernels_bit_identical_through_blocked_read_bursts` unit test.)
-    let read_burst = WorkloadSpec {
-        name: "read_burst",
-        class: BenchClass::Scientific,
-        pool_regions: 64,
-        region_bytes: 64 * 1024,
-        hot_regions: 2,
-        generation_bursts: 4,
-        burst_lines: 64,
-        accesses_per_line: 1,
-        exec_gap: (0, 0),
-        store_lines: 0.0,
-        write_fraction: 0.0,
-        shared_fraction: 0.05,
-        shared_regions: 4,
-        share_epoch_ops: 50_000,
-        revisit: false,
-    };
-    differential_over_techniques(Scenario::Homogeneous(read_burst), "read_burst");
 }
 
 #[test]

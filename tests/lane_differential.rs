@@ -19,7 +19,7 @@
 //! rider forks before the end, tiny intervals that fork inside the
 //! first sample interval, decay and selective decay at one interval,
 //! forks on a sample-interval boundary, forks while the worklist engine
-//! has cores asleep, the 2×2 kernel × engine matrix, and a proptest over
+//! has cores asleep, both cycle engines, and a proptest over
 //! random interval sets and budgets.
 
 use cmp_leakage::core::experiment::{
@@ -27,7 +27,7 @@ use cmp_leakage::core::experiment::{
 };
 use cmp_leakage::core::sweep::{run_sweep, run_sweep_sequential, SweepConfig};
 use cmp_leakage::core::{Scenario, Technique, WorkloadSpec};
-use cmp_leakage::system::{CycleEngine, SimKernel};
+use cmp_leakage::system::CycleEngine;
 use cmp_leakage::workloads::ScenarioSpec;
 use proptest::prelude::*;
 
@@ -183,19 +183,16 @@ fn forks_while_worklist_cores_sleep_match_solo_runs() {
 }
 
 #[test]
-fn forks_agree_across_the_kernel_engine_matrix() {
+fn forks_agree_under_both_engines() {
     let scenario = Scenario::Mix(ScenarioSpec::paper_mixes().remove(0));
     let techniques = [decay(16_384), sel_decay(2_048), decay(512), sel_decay(16_384)];
-    for kernel in [SimKernel::QuiescenceSkip, SimKernel::PerCycle] {
-        for engine in [CycleEngine::Worklist, CycleEngine::FullScan] {
-            let mut cfgs = decay_group(&scenario, &techniques, 6_000, SEED);
-            for c in &mut cfgs {
-                c.kernel = kernel;
-                c.engine = engine;
-            }
-            let (forks, _, _) = assert_group_matches_solo(&cfgs, &format!("{kernel:?}/{engine:?}"));
-            assert_eq!(forks, 3);
+    for engine in [CycleEngine::Worklist, CycleEngine::FullScan] {
+        let mut cfgs = decay_group(&scenario, &techniques, 6_000, SEED);
+        for c in &mut cfgs {
+            c.engine = engine;
         }
+        let (forks, _, _) = assert_group_matches_solo(&cfgs, &format!("{engine:?}"));
+        assert_eq!(forks, 3);
     }
 }
 
