@@ -11,8 +11,8 @@
 //! Every (scenario × size) group of the paper grid runs its full
 //! technique column (baseline + the 7 paper configurations) over a
 //! shared-stream recording — so op delivery is replay-cursor cheap and
-//! the timed quantity is the model work per simulated cycle that PR 7's
-//! `BENCH_lanes.json` pinned at ~240 ns. Both engine arms are asserted
+//! the timed quantity is the model work per simulated cycle. Both
+//! engine arms are asserted
 //! bit-identical (whole `SimStats`, every technique) before any timing.
 //!
 //! When built with `--features cycle-profile`, the report additionally

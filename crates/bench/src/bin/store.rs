@@ -12,8 +12,9 @@
 //! * **cold vs warm** — the paper grid through `run_sweep` against a
 //!   fresh store (every cell a miss: simulate + publish) and then again
 //!   against the now-populated store (every cell a hit: decode only).
-//!   Both passes are asserted byte-identical to `run_sweep_uncached`
-//!   before timing — the store may change latency, never results.
+//!   Both passes are asserted byte-identical to `run_sweep` on the
+//!   store-less configuration before timing — the store may change
+//!   latency, never results.
 //! * **recording** — the same grid uncached at 1, 2 and 8 worker
 //!   threads, exercising the in-pool first-toucher stream recording;
 //!   all thread counts are asserted byte-identical.
@@ -22,9 +23,7 @@
 //! is at least 2× the cold pass and thread counts agree; the committed
 //! JSON is a full run (where warm replay is expected well above 5×).
 
-use cmpleak_core::sweep::{
-    run_sweep_uncached, run_sweep_with_telemetry, SweepConfig, SweepTelemetry,
-};
+use cmpleak_core::sweep::{run_sweep, run_sweep_with_telemetry, SweepConfig, SweepTelemetry};
 use cmpleak_core::{ExperimentScratch, Scenario, Technique, WorkloadSpec};
 use cmpleak_store::ResultStore;
 use cmpleak_workloads::ScenarioSpec;
@@ -144,10 +143,10 @@ fn main() {
     let root = std::env::temp_dir().join(format!("cmpleak-store-bench-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
 
-    // Ground truth: the uncached grid. Every store-backed pass below
+    // Ground truth: the store-less grid. Every store-backed pass below
     // must reproduce this byte-for-byte.
     let cfg = grid_cfg(&opts, &sizes, 0);
-    let fresh = run_sweep_uncached(&cfg);
+    let fresh = run_sweep(&cfg);
     let fresh_json = json(&fresh);
     let cells = fresh.cells.len();
     println!(
@@ -224,10 +223,8 @@ fn main() {
             opts.reps,
             || {},
             || {
-                let mut s = ExperimentScratch::default();
-                let mut cfg_uncached = cfg_t.clone();
-                cfg_uncached.store = None;
-                let (res, tel) = run_sweep_with_telemetry(&cfg_uncached, &mut s);
+                let (res, tel) =
+                    run_sweep_with_telemetry(&cfg_t, &mut ExperimentScratch::default());
                 assert_eq!(
                     json(&res),
                     fresh_json,

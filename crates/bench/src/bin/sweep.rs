@@ -1,305 +1,27 @@
-//! Sweep throughput harness: measures what the shared-op-stream layer
-//! buys — recording each (scenario, seed, budget) group once and
-//! replaying cursors in every cell, vs. regenerating the streams live
-//! per cell — and emits `BENCH_sweep.json`.
+//! Sweep-as-a-service over the persistent result store.
 //!
 //! ```text
-//! sweep [--instr N] [--reps N] [--quick] [--out PATH]
-//! sweep serve [--store DIR] [--requests PATH] [--instr N] [--out PATH]
+//! sweep serve [--store DIR] [--requests PATH] [--instr N] [--seed N]
+//!             [--n-cores N] [--threads N] [--out PATH]
 //! ```
 //!
-//! The `serve` subcommand turns the sweep into sweep-as-a-service: it
-//! reads experiment-cell requests (one per line: `scenario technique
-//! size_mb [instr]`; `#` comments), answers every cell already in the
-//! persistent result store from disk, batches the misses into grouped
-//! sweep grids that publish back to the store, and reports per-request
-//! hit/miss and load latency. See the "Persistent result store"
-//! section of the README.
-//!
-//! Three sections:
-//!
-//! * **groups** — every (scenario × size) group of the paper grid
-//!   (baseline + 7 techniques per group, baseline derived), timed
-//!   serially: `run_sweep` (shared streams) vs. `run_sweep_unshared`
-//!   (live generation; baseline memoization on in both arms, so the
-//!   delta isolates stream sharing). Both arms are asserted
-//!   byte-identical before timing.
-//! * **grid** — the whole multi-threaded paper grid, wall-clock.
-//! * **streams** — per-scenario recording cost and replay rate: ns/op
-//!   for live generation vs. cursor decode, plus the encoded bytes a
-//!   shared recording holds resident (the memory cost of sharing).
-//!
-//! `--quick` shrinks everything to a CI smoke asserting the shared path
-//! is not slower beyond noise; the committed JSON is a full run.
+//! Reads experiment-cell requests (one per line: `scenario technique
+//! size_mb [instr]`; `#` comments; stdin without `--requests`), answers
+//! every cell already in the store from disk, batches the misses into
+//! grouped sweep grids that publish back to the store, and reports
+//! per-request hit/miss and load latency. Malformed lines — unknown
+//! names, unparsable numbers, a size that is not a power of two up to
+//! `MAX_SIZE_MB` — are reported and skipped; the rest of the queue is
+//! still answered. See the "Persistent result store" section of the
+//! README.
 
-use cmpleak_core::sweep::{
-    run_sweep_unshared, run_sweep_with_scratch, run_sweep_with_telemetry, SweepConfig,
-};
+use cmpleak_core::sweep::{run_sweep_with_telemetry, SweepConfig};
 use cmpleak_core::{ExperimentConfig, ExperimentScratch, Scenario, Technique, WorkloadSpec};
-use cmpleak_mem::BankArena;
 use cmpleak_store::ResultStore;
 use cmpleak_workloads::ScenarioSpec;
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
-
-#[derive(Debug, Serialize)]
-struct GroupCell {
-    scenario: String,
-    size_mb: usize,
-    /// Cells in the group (baseline + techniques).
-    cells: usize,
-    /// Wall-clock seconds, live generation per cell (memoized baseline).
-    live_s: f64,
-    /// Wall-clock seconds, shared streams (memoized baseline).
-    shared_s: f64,
-    /// `live_s / shared_s`.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct StreamCell {
-    scenario: String,
-    /// Ops recorded per core stream (core 0 shown; streams are similar).
-    ops_per_core: u64,
-    /// Encoded bytes the shared recording keeps resident (all cores).
-    resident_bytes: usize,
-    /// Encoded bytes per op.
-    bytes_per_op: f64,
-    /// Nanoseconds per op, live generation (LiveGen over the spec).
-    live_ns_per_op: f64,
-    /// Nanoseconds per op, shared-cursor replay.
-    replay_ns_per_op: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct GridReport {
-    scenarios: usize,
-    sizes: usize,
-    cells: usize,
-    threads: usize,
-    live_s: f64,
-    shared_s: f64,
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct SweepReport {
-    instructions_per_core: u64,
-    n_cores: usize,
-    reps: u32,
-    groups: Vec<GroupCell>,
-    grid: GridReport,
-    streams: Vec<StreamCell>,
-}
-
-struct Opts {
-    instr: u64,
-    reps: u32,
-    quick: bool,
-    out: Option<String>,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts { instr: 150_000, reps: 3, quick: false, out: None };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--instr" => opts.instr = args.next().and_then(|v| v.parse().ok()).expect("--instr N"),
-            "--reps" => opts.reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N"),
-            "--quick" => opts.quick = true,
-            "--out" => opts.out = Some(args.next().expect("--out PATH")),
-            other => panic!("unknown argument {other} (try --instr/--reps/--quick/--out)"),
-        }
-    }
-    if opts.quick {
-        opts.instr = opts.instr.min(30_000);
-        opts.reps = 2;
-    }
-    opts
-}
-
-fn scenarios(quick: bool) -> Vec<Scenario> {
-    let mut v: Vec<Scenario> =
-        WorkloadSpec::paper_suite().into_iter().map(Scenario::Homogeneous).collect();
-    v.extend(ScenarioSpec::paper_mixes().into_iter().map(Scenario::Mix));
-    if quick {
-        v = vec![
-            Scenario::Homogeneous(WorkloadSpec::water_ns()),
-            Scenario::Mix(ScenarioSpec::bursty_idle()),
-        ];
-    }
-    v
-}
-
-fn group_cfg(scenario: &Scenario, size_mb: usize, instr: u64) -> SweepConfig {
-    SweepConfig {
-        scenarios: vec![scenario.clone()],
-        sizes_mb: vec![size_mb],
-        techniques: Technique::paper_set(),
-        instructions_per_core: instr,
-        seed: 42,
-        n_cores: 4,
-        threads: 1, // serial: measure simulation work, not scheduling
-        store: None,
-    }
-}
-
-/// Best-of-`reps` wall-clock of `f`.
-fn time_s(reps: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Best-of-`reps` wall-clock of two arms, interleaved A/B per rep so a
-/// transient machine-noise window degrades both arms instead of
-/// silently skewing whichever one it landed on.
-fn time_pair(reps: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        a();
-        best_a = best_a.min(t0.elapsed().as_secs_f64());
-        let t1 = Instant::now();
-        b();
-        best_b = best_b.min(t1.elapsed().as_secs_f64());
-    }
-    (best_a, best_b)
-}
-
-fn group_section(opts: &Opts, sizes: &[usize]) -> Vec<GroupCell> {
-    let mut out = Vec::new();
-    let mut scratch = ExperimentScratch::default();
-    for scenario in scenarios(opts.quick) {
-        for &size in sizes {
-            let cfg = group_cfg(&scenario, size, opts.instr);
-            // Identity first (the differential tests pin this at scale;
-            // here it guards the numbers below against divergence).
-            let a = run_sweep_with_scratch(&cfg, &mut scratch);
-            let b = run_sweep_unshared(&cfg);
-            assert_eq!(
-                serde_json::to_string(&a).unwrap(),
-                serde_json::to_string(&b).unwrap(),
-                "shared and live sweeps diverged for {}@{size}MB",
-                scenario.label()
-            );
-            let (shared_s, live_s) = time_pair(
-                opts.reps,
-                || {
-                    std::hint::black_box(run_sweep_with_scratch(&cfg, &mut scratch));
-                },
-                || {
-                    std::hint::black_box(run_sweep_unshared(&cfg));
-                },
-            );
-            let cell = GroupCell {
-                scenario: scenario.label(),
-                size_mb: size,
-                cells: a.cells.len(),
-                live_s,
-                shared_s,
-                speedup: live_s / shared_s,
-            };
-            println!(
-                "{:<22} {:>2} MB | live {:>7.3}s vs shared {:>7.3}s ({:>5.2}x)",
-                cell.scenario, cell.size_mb, cell.live_s, cell.shared_s, cell.speedup
-            );
-            out.push(cell);
-        }
-    }
-    out
-}
-
-fn grid_section(opts: &Opts, sizes: &[usize]) -> GridReport {
-    let cfg = SweepConfig {
-        scenarios: scenarios(opts.quick),
-        sizes_mb: sizes.to_vec(),
-        techniques: Technique::paper_set(),
-        instructions_per_core: opts.instr,
-        seed: 42,
-        n_cores: 4,
-        threads: 0,
-        store: None,
-    };
-    let mut scratch = ExperimentScratch::default();
-    let mut cells = 0;
-    let (shared_s, live_s) = time_pair(
-        opts.reps,
-        || {
-            cells = run_sweep_with_scratch(&cfg, &mut scratch).cells.len();
-        },
-        || {
-            std::hint::black_box(run_sweep_unshared(&cfg));
-        },
-    );
-    GridReport {
-        scenarios: cfg.scenarios.len(),
-        sizes: sizes.len(),
-        cells,
-        threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-        live_s,
-        shared_s,
-        speedup: live_s / shared_s,
-    }
-}
-
-fn stream_section(opts: &Opts) -> Vec<StreamCell> {
-    let mut out = Vec::new();
-    for scenario in scenarios(opts.quick) {
-        let mut arena = BankArena::default();
-        let shared = scenario.record_shared(4, 42, opts.instr, &mut arena);
-        let Scenario::SharedStream { trace } = &shared else { unreachable!() };
-        let ops: u64 = (0..4).map(|c| trace.core_info(c).ops).sum();
-
-        // ns/op live generation (through the LiveGen adapter, as the
-        // simulator consumes it).
-        let mut live = scenario.build_sources(4, 42, opts.instr);
-        let live_ns = time_s(opts.reps, || {
-            for src in live.iter_mut() {
-                for _ in 0..trace.core_info(0).ops {
-                    std::hint::black_box(src.next_op());
-                }
-            }
-        }) * 1e9
-            / (4 * trace.core_info(0).ops) as f64;
-
-        // ns/op shared-cursor replay.
-        let replay_ns = time_s(opts.reps, || {
-            for c in 0..4 {
-                let mut cur = trace.cursor(c);
-                for _ in 0..cur.total_ops() {
-                    std::hint::black_box(cmpleak_cpu::Workload::next_op(&mut cur));
-                }
-            }
-        }) * 1e9
-            / ops as f64;
-
-        let cell = StreamCell {
-            scenario: scenario.label(),
-            ops_per_core: trace.core_info(0).ops,
-            resident_bytes: trace.stream_bytes(),
-            bytes_per_op: trace.stream_bytes() as f64 / ops as f64,
-            live_ns_per_op: live_ns,
-            replay_ns_per_op: replay_ns,
-        };
-        println!(
-            "{:<22} | {:>8} ops/core, {:>9} B resident ({:>4.2} B/op) | gen {:>5.2} ns/op vs replay {:>5.2} ns/op",
-            cell.scenario, cell.ops_per_core, cell.resident_bytes, cell.bytes_per_op,
-            cell.live_ns_per_op, cell.replay_ns_per_op
-        );
-        out.push(cell);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// `sweep serve` — sweep-as-a-service over the persistent result store.
-// ---------------------------------------------------------------------------
 
 struct ServeOpts {
     store: String,
@@ -355,13 +77,65 @@ struct Request {
 
 /// Requests the service can name: the paper suite plus the mixes, and
 /// the baseline plus the seven paper techniques.
-fn serve_catalog() -> (Vec<Scenario>, Vec<Technique>) {
-    let mut scenarios: Vec<Scenario> =
-        WorkloadSpec::paper_suite().into_iter().map(Scenario::Homogeneous).collect();
-    scenarios.extend(ScenarioSpec::paper_mixes().into_iter().map(Scenario::Mix));
-    let mut techniques = vec![Technique::Baseline];
-    techniques.extend(Technique::paper_set());
-    (scenarios, techniques)
+struct Catalog {
+    scenarios: Vec<Scenario>,
+    techniques: Vec<Technique>,
+}
+
+impl Catalog {
+    fn paper() -> Self {
+        let mut scenarios: Vec<Scenario> =
+            WorkloadSpec::paper_suite().into_iter().map(Scenario::Homogeneous).collect();
+        scenarios.extend(ScenarioSpec::paper_mixes().into_iter().map(Scenario::Mix));
+        let mut techniques = vec![Technique::Baseline];
+        techniques.extend(Technique::paper_set());
+        Self { scenarios, techniques }
+    }
+}
+
+/// Largest total L2 a request may name. Sizes must be powers of two
+/// (each core's private share must be a power-of-two cache) and are
+/// capped so one request line cannot ask for an unbounded allocation;
+/// the paper's sizes are 1, 2, 4 and 8 MB.
+const MAX_SIZE_MB: usize = 64;
+
+/// Parse one request line (`scenario technique size_mb [instr]`, `#`
+/// starts a comment) into the cell configuration a sweep would build
+/// for it. `Ok(None)` for a blank or comment-only line; `Err` names why
+/// the line cannot be served.
+fn parse_request(
+    raw: &str,
+    catalog: &Catalog,
+    opts: &ServeOpts,
+) -> Result<Option<ExperimentConfig>, String> {
+    let line = raw.split('#').next().unwrap_or("").trim();
+    if line.is_empty() {
+        return Ok(None);
+    }
+    let mut parts = line.split_whitespace();
+    let (Some(scen), Some(tech), Some(size)) = (parts.next(), parts.next(), parts.next()) else {
+        return Err("want `scenario technique size_mb [instr]`".to_string());
+    };
+    let Some(scenario) = catalog.scenarios.iter().find(|s| s.label() == scen) else {
+        let known: Vec<String> = catalog.scenarios.iter().map(|s| s.label()).collect();
+        return Err(format!("unknown scenario `{scen}` (known: {})", known.join(", ")));
+    };
+    let Some(&technique) = catalog.techniques.iter().find(|t| t.name() == tech) else {
+        let known: Vec<String> = catalog.techniques.iter().map(|t| t.name()).collect();
+        return Err(format!("unknown technique `{tech}` (known: {})", known.join(", ")));
+    };
+    let instr = parts.next().map_or(Ok(opts.instr), str::parse);
+    let (Ok(size_mb), Ok(instr)) = (size.parse::<usize>(), instr) else {
+        return Err(format!("bad size/instr in `{line}`"));
+    };
+    if !size_mb.is_power_of_two() || size_mb > MAX_SIZE_MB {
+        return Err(format!("size {size_mb} MB is not a power of two from 1 to {MAX_SIZE_MB}"));
+    }
+    let mut cfg = ExperimentConfig::paper_scenario(scenario.clone(), technique, size_mb);
+    cfg.instructions_per_core = instr;
+    cfg.seed = opts.seed;
+    cfg.n_cores = opts.n_cores;
+    Ok(Some(cfg))
 }
 
 #[derive(Debug, Serialize)]
@@ -412,17 +186,10 @@ struct MissGroup {
     missed: std::collections::BTreeSet<String>,
 }
 
-fn serve(args: &[String]) {
-    let opts = parse_serve_opts(args);
-    let text = match &opts.requests {
-        Some(path) => std::fs::read_to_string(path).expect("requests readable"),
-        None => {
-            let mut s = String::new();
-            std::io::Read::read_to_string(&mut std::io::stdin(), &mut s).expect("stdin readable");
-            s
-        }
-    };
-    let (scenarios, techniques) = serve_catalog();
+/// Answer every request in `text` against the store at `opts.store`,
+/// printing one line per request and a summary.
+fn serve(opts: &ServeOpts, text: &str) -> ServeReport {
+    let catalog = Catalog::paper();
     let store = Arc::new(ResultStore::open(&opts.store).expect("store root"));
     println!("store: {} ({} records)", opts.store, store.record_count());
 
@@ -432,46 +199,14 @@ fn serve(args: &[String]) {
     let mut requests: Vec<Request> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
+        match parse_request(raw, &catalog, opts) {
+            Ok(Some(cfg)) => requests.push(Request { line_no, cfg }),
+            Ok(None) => {}
+            Err(why) => {
+                eprintln!("line {line_no}: {why} — skipped");
+                skipped += 1;
+            }
         }
-        let mut parts = line.split_whitespace();
-        let (Some(scen), Some(tech), Some(size)) = (parts.next(), parts.next(), parts.next())
-        else {
-            eprintln!("line {line_no}: want `scenario technique size_mb [instr]` — skipped");
-            skipped += 1;
-            continue;
-        };
-        let Some(scenario) = scenarios.iter().find(|s| s.label() == scen) else {
-            let known: Vec<String> = scenarios.iter().map(|s| s.label()).collect();
-            eprintln!(
-                "line {line_no}: unknown scenario `{scen}` (known: {}) — skipped",
-                known.join(", ")
-            );
-            skipped += 1;
-            continue;
-        };
-        let Some(&technique) = techniques.iter().find(|t| t.name() == tech) else {
-            let known: Vec<String> = techniques.iter().map(|t| t.name()).collect();
-            eprintln!(
-                "line {line_no}: unknown technique `{tech}` (known: {}) — skipped",
-                known.join(", ")
-            );
-            skipped += 1;
-            continue;
-        };
-        let instr = parts.next().map_or(Ok(opts.instr), str::parse);
-        let (Ok(size_mb), Ok(instr)) = (size.parse::<usize>(), instr) else {
-            eprintln!("line {line_no}: bad size/instr in `{line}` — skipped");
-            skipped += 1;
-            continue;
-        };
-        let mut cfg = ExperimentConfig::paper_scenario(scenario.clone(), technique, size_mb);
-        cfg.instructions_per_core = instr;
-        cfg.seed = opts.seed;
-        cfg.n_cores = opts.n_cores;
-        requests.push(Request { line_no, cfg });
     }
 
     // First probe: answer whatever the store already holds; misses are
@@ -581,7 +316,7 @@ fn serve(args: &[String]) {
         store.record_count()
     );
     println!("lanes: {forks} rider fork(s), {cycles_shared} cycles shared with trunks");
-    let report = ServeReport {
+    ServeReport {
         store: opts.store.clone(),
         requests: requests.len(),
         skipped,
@@ -592,7 +327,25 @@ fn serve(args: &[String]) {
         forks,
         cycles_shared,
         rows,
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) != Some("serve") {
+        eprintln!("usage: sweep serve [--store DIR] [--requests PATH] [--instr N] [--seed N] [--n-cores N] [--threads N] [--out PATH]");
+        std::process::exit(2);
+    }
+    let opts = parse_serve_opts(&args[1..]);
+    let text = match &opts.requests {
+        Some(path) => std::fs::read_to_string(path).expect("requests readable"),
+        None => {
+            let mut s = String::new();
+            std::io::Read::read_to_string(&mut std::io::stdin(), &mut s).expect("stdin readable");
+            s
+        }
     };
+    let report = serve(&opts, &text);
     if let Some(path) = &opts.out {
         let mut json = serde_json::to_string_pretty(&report).expect("serializable");
         json.push('\n');
@@ -601,55 +354,79 @@ fn serve(args: &[String]) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        serve(&args[1..]);
-        return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn opts(store: &std::path::Path) -> ServeOpts {
+        let mut opts = parse_serve_opts(&[]);
+        opts.store = store.display().to_string();
+        opts.threads = 2;
+        opts
     }
-    let opts = parse_opts();
-    let sizes: Vec<usize> = if opts.quick { vec![1] } else { vec![1, 2, 4, 8] };
 
-    println!("== per-group sweeps: shared streams vs live generation (serial) ==");
-    let groups = group_section(&opts, &sizes);
+    #[test]
+    fn bad_size_lines_are_skipped_and_the_rest_answered() {
+        let root = std::env::temp_dir().join(format!("cmpleak-serve-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let queue = "WATER-NS protocol 1 2000\n\
+                     WATER-NS decay64K 3 2000\n\
+                     WATER-NS protocol 0 2000\n\
+                     WATER-NS decay64K 1 2000\n";
+        let report = serve(&opts(&root), queue);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(report.skipped, 2, "sizes 3 and 0 are not servable");
+        let answered: Vec<(usize, &str)> =
+            report.rows.iter().map(|r| (r.line, r.technique.as_str())).collect();
+        assert_eq!(answered, vec![(1, "protocol"), (4, "decay64K")]);
+        assert!(report.rows.iter().all(|r| r.cycles > 0));
+    }
 
-    println!("== whole paper grid (threads = available) ==");
-    let grid = grid_section(&opts, &sizes);
-    println!(
-        "{} cells | live {:.2}s vs shared {:.2}s ({:.2}x)",
-        grid.cells, grid.live_s, grid.shared_s, grid.speedup
-    );
+    /// Request lines, split around the size field, the mutations start
+    /// from.
+    const TEMPLATES: [(&str, &str); 4] = [
+        ("WATER-NS protocol ", " 2000"),
+        ("mix_bursty_idle sel_decay64K ", " 30000 # trailing comment"),
+        ("VOLREND baseline ", ""),
+        ("facerec decay512K ", " 150000"),
+    ];
 
-    println!("== stream recording cost / replay rate ==");
-    let streams = stream_section(&opts);
-
-    let worst = groups.iter().map(|g| g.speedup).fold(f64::INFINITY, f64::min);
-    let mean = groups.iter().map(|g| g.speedup).sum::<f64>() / groups.len().max(1) as f64;
-    println!("worst group {worst:.2}x, mean group {mean:.2}x, grid {:.2}x", grid.speedup);
-
-    if opts.quick {
-        // CI smoke: sharing must never cost more than noise.
-        assert!(worst > 0.90, "shared-stream sweep regressed on a group ({worst:.2}x)");
-        for s in &streams {
-            assert!(
-                s.replay_ns_per_op < s.live_ns_per_op * 1.5,
-                "cursor replay catastrophically slower than generation: {s:?}"
-            );
+    proptest! {
+        /// A request line with any size, then byte-level damage, never
+        /// panics the parser, and every line it accepts builds a valid
+        /// simulator configuration.
+        #[test]
+        fn mutated_request_lines_parse_or_are_rejected(
+            template in 0usize..TEMPLATES.len(),
+            size in prop_oneof![0usize..20, any::<usize>()],
+            edits in proptest::collection::vec(
+                (
+                    any::<usize>(),
+                    prop_oneof![b'0'..b':', Just(b' '), any::<u8>()],
+                    0u8..3,
+                ),
+                0..4,
+            ),
+        ) {
+            let (head, tail) = TEMPLATES[template];
+            let mut bytes = format!("{head}{size}{tail}").into_bytes();
+            for (pos, byte, op) in edits {
+                let at = pos % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.push(byte),
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            let opts = parse_serve_opts(&[]);
+            if let Ok(Some(cfg)) = parse_request(&line, &Catalog::paper(), &opts) {
+                cfg.cmp_config().validate();
+            }
         }
-    }
-
-    let report = SweepReport {
-        instructions_per_core: opts.instr,
-        n_cores: 4,
-        reps: opts.reps,
-        groups,
-        grid,
-        streams,
-    };
-    if let Some(path) = &opts.out {
-        let mut json = serde_json::to_string_pretty(&report).expect("serializable");
-        json.push('\n');
-        std::fs::write(path, json).expect("report written");
-        println!("wrote {path}");
     }
 }

@@ -47,7 +47,6 @@ pub use figures::{Figure, FigureSet};
 pub use metrics::TechniqueMetrics;
 pub use scenario::Scenario;
 pub use sweep::{
-    run_sweep, run_sweep_reference, run_sweep_sequential, run_sweep_uncached, run_sweep_unshared,
-    run_sweep_with_scratch, run_sweep_with_telemetry, SweepCell, SweepConfig, SweepResults,
+    run_sweep, run_sweep_reference, run_sweep_with_telemetry, SweepCell, SweepConfig, SweepResults,
     SweepTelemetry,
 };

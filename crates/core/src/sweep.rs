@@ -8,19 +8,19 @@
 //! results by index, so the output is identical for any thread count
 //! (pinned by the golden regression test in `tests/golden_sweep.rs`).
 //!
-//! Three sweep-level optimizations are on by default in [`run_sweep`],
-//! all bit-identity-preserving: the baseline of each (scenario, size)
-//! group is *derived* from its timing-identical Protocol twin instead of
-//! simulated; each (scenario, seed, budget) group's op stream is
-//! *recorded once* into a shared in-memory trace that every cell of the
-//! group replays instead of regenerating live (the grid runs 1 + sizes
-//! × techniques cells per scenario off one recording); and within each
-//! (scenario, size) group the technique cells run as **lockstep lanes**
-//! ([`run_experiment_lanes`]) — the stream is decoded once into a
-//! shared op window and every technique steps through it with plain
-//! slice reads. See `tests/sweep_memoization.rs`,
-//! `tests/stream_sharing.rs` and `tests/lane_differential.rs` for the
-//! differentials that pin all three.
+//! The planner has one path, [`run_sweep`], and one reference,
+//! [`run_sweep_reference`]. The path always applies three
+//! bit-identity-preserving optimizations: the baseline of each
+//! (scenario, size) group is *derived* from its timing-identical
+//! Protocol twin instead of simulated; each (scenario, seed, budget)
+//! group's op stream is *recorded once* into a shared in-memory trace
+//! that every cell of the group replays instead of regenerating live;
+//! and within each (scenario, size) group the technique cells run as
+//! **lockstep lanes** ([`run_experiment_lanes`]) — the stream is decoded
+//! once into a shared op window and every technique steps through it
+//! with plain slice reads. The reference is a plain serial loop over
+//! every cell from live generators; `tests/sweep_memoization.rs` pins
+//! the two byte-identical.
 
 use crate::experiment::{
     derive_baseline_cell, result_from_stored, run_experiment_lanes, run_experiment_with_scratch,
@@ -63,7 +63,7 @@ pub struct SweepConfig {
     /// constructor) simulates everything. The store may only ever
     /// change latency, never results — pinned by
     /// `tests/store_differential.rs`. Ignored by
-    /// [`run_sweep_uncached`] and the differential arms.
+    /// [`run_sweep_reference`].
     pub store: Option<Arc<ResultStore>>,
 }
 
@@ -178,9 +178,50 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
     }
 }
 
-/// Run the sweep with both sweep-level optimizations on: baseline
-/// memoization against the timing-identical technique twin, and shared
-/// op streams.
+/// Every cell's experiment configuration in output order: for each
+/// (scenario, size) group, the baseline first, then each configured
+/// technique. Each carries the **original** scenario — content
+/// addresses and recordings both key off it. Both planner paths build
+/// their cells here.
+fn cell_configs(cfg: &SweepConfig) -> Vec<ExperimentConfig> {
+    let techniques: Vec<Technique> =
+        std::iter::once(Technique::Baseline).chain(cfg.techniques.iter().copied()).collect();
+    let mut cells = Vec::with_capacity(cfg.scenarios.len() * cfg.sizes_mb.len() * techniques.len());
+    for scenario in &cfg.scenarios {
+        for &size in &cfg.sizes_mb {
+            for &technique in &techniques {
+                cells.push(ExperimentConfig {
+                    scenario: scenario.clone(),
+                    technique,
+                    total_l2_mb: size,
+                    instructions_per_core: cfg.instructions_per_core,
+                    seed: cfg.seed,
+                    n_cores: cfg.n_cores,
+                    power: PowerParams::default(),
+                    engine: Default::default(),
+                });
+            }
+        }
+    }
+    cells
+}
+
+/// The sweep's cells from per-cell results in [`cell_configs`] order:
+/// each (scenario, size) group's metrics are taken relative to the
+/// group's baseline, its first entry.
+fn summarize_groups(results: &[ExperimentResult], group_len: usize) -> SweepResults {
+    let mut cells = Vec::with_capacity(results.len());
+    for chunk in results.chunks(group_len) {
+        let base = &chunk[0];
+        cells.push(summarize(base, TechniqueMetrics::baseline_identity(base)));
+        for tech in &chunk[1..] {
+            cells.push(summarize(tech, TechniqueMetrics::compare(base, tech)));
+        }
+    }
+    SweepResults { cells }
+}
+
+/// Run the sweep: the planner's one path.
 ///
 /// **Memoization** — within every (scenario, size) group, the baseline
 /// and a [`Technique::timing_identical_to_baseline`] technique
@@ -193,14 +234,20 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// **Shared streams** — every cell of a (scenario, seed, instruction
 /// budget) group consumes the *same* op stream: the live generators
 /// recompute it per cell, although trace replay is bit-identical to
-/// generation (PR 2's contract). The planner therefore records each
-/// live-generating scenario once into an in-memory trace
-/// ([`Scenario::record_shared_in`]) and hands every cell of the group a
-/// cheap replay cursor over the shared buffer, amortizing the generator
-/// work to one recording per group. The recording happens **inside the
-/// worker pool** — the first worker to touch a group records it while
-/// other workers proceed to other groups and block only on that group —
-/// so grid latency scales with cores even on recording-heavy sweeps.
+/// generation. The planner therefore records each live-generating
+/// scenario once into an in-memory trace ([`Scenario::record_shared_in`])
+/// and hands every cell of the group a cheap replay cursor over the
+/// shared buffer, amortizing the generator work to one recording per
+/// group. The recording happens **inside the worker pool** — the first
+/// worker to touch a group records it while other workers proceed to
+/// other groups and block only on that group — so grid latency scales
+/// with cores even on recording-heavy sweeps.
+///
+/// **Lanes** — the pool's work unit is one (scenario, size) group. Its
+/// simulated cells all consume the same op sequence; the lane engine
+/// ([`run_experiment_lanes`]) decodes it once into a shared op window
+/// and steps every technique through it side by side, so per-cell op
+/// delivery collapses to bounds-checked slice reads.
 ///
 /// **Persistent store** — when [`SweepConfig::store`] is set, each
 /// cell's content address ([`ExperimentConfig::store_key`]) is probed
@@ -208,81 +255,24 @@ fn summarize(result: &ExperimentResult, metrics: TechniqueMetrics) -> SweepCell 
 /// `tests/store_differential.rs`), misses are simulated as usual and
 /// published back. A fully warm grid simulates — and records — nothing.
 ///
-/// **Lanes** — within each (scenario, size) group, the simulated cells
-/// all consume the same op sequence; the lane engine
-/// ([`run_experiment_lanes`]) decodes it once into a shared op window
-/// and steps every technique through it side by side, so per-cell op
-/// delivery collapses to bounds-checked slice reads.
-///
 /// The output is byte-identical to [`run_sweep_reference`] (pinned
-/// cell-for-cell by `tests/sweep_memoization.rs`,
-/// `tests/stream_sharing.rs` and `tests/lane_differential.rs`, and by
-/// the golden snapshot, which passes unchanged with all three
-/// optimizations on).
+/// cell-for-cell by `tests/sweep_memoization.rs` and by the golden
+/// snapshot).
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_with_scratch(cfg, &mut ExperimentScratch::default())
+    run_sweep_with_telemetry(cfg, &mut ExperimentScratch::default()).0
 }
 
-/// [`run_sweep`] reusing `scratch`'s pools across calls — in particular
-/// the shared-stream buffer arena, so repeated sweeps (benchmark reps,
-/// parameter studies) re-record their streams into the same
-/// allocations. The result is identical.
-pub fn run_sweep_with_scratch(cfg: &SweepConfig, scratch: &mut ExperimentScratch) -> SweepResults {
-    run_sweep_inner(cfg, PlannerArms::FULL, scratch).0
-}
-
-/// [`run_sweep`] returning the planner's work counters alongside the
-/// results: how many cells were derived, how many stream groups were
-/// recorded in-pool, and how the persistent store split the grid into
-/// hits and misses. The results are identical to [`run_sweep`]'s.
-pub fn run_sweep_with_telemetry(
-    cfg: &SweepConfig,
-    scratch: &mut ExperimentScratch,
-) -> (SweepResults, SweepTelemetry) {
-    run_sweep_inner(cfg, PlannerArms::FULL, scratch)
-}
-
-/// [`run_sweep`] ignoring [`SweepConfig::store`]: every cell is
-/// simulated (under the full optimization stack) regardless of what the
-/// store holds, and nothing is published. The arm that keeps benches
-/// and differentials meaningful when a store is configured.
-pub fn run_sweep_uncached(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(cfg, PlannerArms::FULL.without_store(), &mut ExperimentScratch::default()).0
-}
-
-/// [`run_sweep`] with every optimization disabled: every cell, baseline
-/// included, is fully simulated from live generators, one at a time,
-/// with no store involvement. The differential reference for the
-/// optimized paths.
+/// The differential reference: every cell, baseline included, fully
+/// simulated one at a time from the scenarios as configured (live
+/// generators for generated scenarios) — no worker pool, no store, no
+/// derived baselines, no shared recordings, no lanes.
 pub fn run_sweep_reference(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(cfg, PlannerArms::REFERENCE, &mut ExperimentScratch::default()).0
-}
-
-/// [`run_sweep`] with stream sharing and lanes disabled (baseline
-/// memoization stays on): every simulated cell regenerates its streams
-/// live. The comparison arm the `sweep` bench uses to isolate what
-/// sharing buys.
-pub fn run_sweep_unshared(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(
-        cfg,
-        PlannerArms { memoize: true, ..PlannerArms::REFERENCE },
-        &mut ExperimentScratch::default(),
-    )
-    .0
-}
-
-/// [`run_sweep`] with the lane engine disabled (memoization and stream
-/// sharing stay on): cells run one at a time off the shared recordings
-/// — the planner exactly as it stood before lanes. The escape hatch if
-/// a lane-engine defect is suspected, and the comparison arm of the
-/// `lanes` bench and `tests/lane_differential.rs`.
-pub fn run_sweep_sequential(cfg: &SweepConfig) -> SweepResults {
-    run_sweep_inner(
-        cfg,
-        PlannerArms { memoize: true, share_streams: true, ..PlannerArms::REFERENCE },
-        &mut ExperimentScratch::default(),
-    )
-    .0
+    let mut scratch = ExperimentScratch::default();
+    let results: Vec<ExperimentResult> = cell_configs(cfg)
+        .iter()
+        .map(|cell| run_experiment_with_scratch(cell, &mut scratch))
+        .collect();
+    summarize_groups(&results, 1 + cfg.techniques.len())
 }
 
 /// How a sweep's work actually broke down — all counters deterministic
@@ -306,17 +296,6 @@ pub struct SweepTelemetry {
     pub forks: usize,
     /// Cycles those riders rode their trunks instead of stepping them.
     pub cycles_shared: u64,
-}
-
-/// One grid cell's work order: the experiment configuration (carrying
-/// the **original** scenario — content addresses and recordings both
-/// key off it), whether it is simulated at all (derived baselines are
-/// not), and which scenario's stream slot it consumes.
-#[derive(Debug)]
-struct Job {
-    cfg: ExperimentConfig,
-    simulate: bool,
-    scenario_idx: usize,
 }
 
 /// Lifecycle of one scenario's shared op stream inside the pool.
@@ -412,45 +391,22 @@ fn resolve_stream(
     }
 }
 
-/// Which planner optimizations a sweep arm runs with. Each public
-/// `run_sweep*` entry point is one named combination; the differential
-/// suites compare them pairwise.
-#[derive(Clone, Copy)]
-struct PlannerArms {
-    memoize: bool,
-    share_streams: bool,
-    lanes: bool,
-    use_store: bool,
-}
-
-impl PlannerArms {
-    /// Everything on — the production path.
-    const FULL: Self = Self { memoize: true, share_streams: true, lanes: true, use_store: true };
-    /// Everything off — the differential reference.
-    const REFERENCE: Self =
-        Self { memoize: false, share_streams: false, lanes: false, use_store: false };
-
-    const fn without_store(mut self) -> Self {
-        self.use_store = false;
-        self
-    }
-}
-
-/// Returns the results plus the sweep's work telemetry.
-fn run_sweep_inner(
+/// [`run_sweep`] returning the planner's work counters alongside the
+/// results — how many cells were derived, how many stream groups were
+/// recorded in-pool, how the persistent store split the grid into hits
+/// and misses — and reusing `scratch`'s pools across calls, in
+/// particular the shared-stream buffer arena, so repeated sweeps
+/// (benchmark reps, parameter studies) re-record their streams into the
+/// same allocations. The results are identical to [`run_sweep`]'s.
+pub fn run_sweep_with_telemetry(
     cfg: &SweepConfig,
-    arms: PlannerArms,
     scratch: &mut ExperimentScratch,
 ) -> (SweepResults, SweepTelemetry) {
-    let PlannerArms { memoize, share_streams, lanes, use_store } = arms;
     // The technique whose run can stand in for the baseline simulation,
-    // if any: the first timing-identical one in the configured list.
-    let donor_offset = cfg
-        .techniques
-        .iter()
-        .position(|t| t.timing_identical_to_baseline())
-        .filter(|_| memoize)
-        .map(|i| i + 1); // +1: the baseline occupies slot 0 of each group
+    // if any: the first timing-identical one in the configured list, at
+    // its offset within a group (the baseline occupies slot 0).
+    let donor_offset =
+        cfg.techniques.iter().position(|t| t.timing_identical_to_baseline()).map(|i| i + 1);
 
     // Stream sharing: each (scenario, seed, budget) group — one per
     // live-generating scenario entry, since seed and budget are
@@ -467,35 +423,14 @@ fn run_sweep_inner(
     // nothing at all.
     let simulated_per_group = cfg.sizes_mb.len() * (1 + cfg.techniques.len())
         - if donor_offset.is_some() { cfg.sizes_mb.len() } else { 0 };
-    let share_streams = share_streams && simulated_per_group > 1;
+    let share_streams = simulated_per_group > 1;
 
-    // Job list: for each (scenario, size): baseline + each technique,
-    // each carrying the original scenario. `simulate` is false for
-    // baseline cells that will be derived.
-    let mut jobs: Vec<Job> = Vec::new();
-    for (scenario_idx, scenario) in cfg.scenarios.iter().enumerate() {
-        for &size in &cfg.sizes_mb {
-            let mut techs = vec![Technique::Baseline];
-            techs.extend(cfg.techniques.iter().copied());
-            for (k, tech) in techs.into_iter().enumerate() {
-                let simulate = !(k == 0 && donor_offset.is_some());
-                jobs.push(Job {
-                    cfg: ExperimentConfig {
-                        scenario: scenario.clone(),
-                        technique: tech,
-                        total_l2_mb: size,
-                        instructions_per_core: cfg.instructions_per_core,
-                        seed: cfg.seed,
-                        n_cores: cfg.n_cores,
-                        power: PowerParams::default(),
-                        engine: Default::default(),
-                    },
-                    simulate,
-                    scenario_idx,
-                });
-            }
-        }
-    }
+    // Cells in output order, grouped per (scenario, size); a derived
+    // baseline (slot 0 of a group with a donor) is never simulated.
+    let jobs = cell_configs(cfg);
+    let group_len = 1 + cfg.techniques.len();
+    let first_simulated = usize::from(donor_offset.is_some());
+    let n_groups = jobs.len() / group_len;
 
     // Content addresses, one per job, computed up front so workers
     // never re-encode a scenario: each scenario's canonical bytes are
@@ -503,22 +438,27 @@ fn run_sweep_inner(
     // Keys are derived from the *original* scenarios, so a warm store
     // hits across processes (a shared recording would encode
     // identically anyway, but the original needs no recording first).
-    let store = if use_store { cfg.store.clone() } else { None };
-    let keys: Vec<Option<CellKey>> = if store.is_some() {
-        let scenario_bytes: Vec<Vec<u8>> = cfg
-            .scenarios
-            .iter()
-            .map(|s| {
-                let mut b = Vec::new();
-                s.canonical_bytes(&mut b);
-                b
-            })
-            .collect();
-        jobs.iter()
-            .map(|j| Some(j.cfg.store_key_with_scenario_bytes(&scenario_bytes[j.scenario_idx])))
-            .collect()
-    } else {
-        jobs.iter().map(|_| None).collect()
+    let store = cfg.store.as_deref();
+    let keys: Vec<CellKey> = match store {
+        Some(_) => {
+            let scenario_bytes: Vec<Vec<u8>> = cfg
+                .scenarios
+                .iter()
+                .map(|s| {
+                    let mut b = Vec::new();
+                    s.canonical_bytes(&mut b);
+                    b
+                })
+                .collect();
+            let cells_per_scenario = group_len * cfg.sizes_mb.len();
+            jobs.iter()
+                .enumerate()
+                .map(|(i, j)| {
+                    j.store_key_with_scenario_bytes(&scenario_bytes[i / cells_per_scenario])
+                })
+                .collect()
+        }
+        None => Vec::new(),
     };
 
     // One stream slot per scenario: replay-backed (or single-cell)
@@ -546,35 +486,28 @@ fn run_sweep_inner(
     // the duration of the sweep and restored to `scratch` after.
     let rec_pool = Mutex::new(std::mem::take(scratch.stream_arena()));
 
-    // The pool's work unit: one cell when running sequentially, one
-    // whole (scenario, size) group when the lane engine is on — a
-    // group's lanes share a decoded op window and must live on one
-    // worker.
-    let group_len = 1 + cfg.techniques.len();
-    let work_units = if lanes { jobs.len() / group_len } else { jobs.len() };
-
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     } else {
         cfg.threads
     }
-    .min(work_units.max(1));
+    .min(n_groups.max(1));
 
     let mut results: Vec<Option<ExperimentResult>> = (0..jobs.len()).map(|_| None).collect();
     {
         // Share-nothing worker pool on std primitives: an atomic cursor
-        // hands out work-unit indices, an mpsc channel collects results,
-        // and reassembly by index keeps the output identical for any
-        // thread count.
-        let next_unit = AtomicUsize::new(0);
+        // hands out (scenario, size) group indices — a group's lanes
+        // share a decoded op window and must live on one worker — an
+        // mpsc channel collects results, and reassembly by index keeps
+        // the output identical for any thread count.
+        let next_group = AtomicUsize::new(0);
         let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
         std::thread::scope(|s| {
             for _ in 0..threads {
-                let next_unit = &next_unit;
+                let next_group = &next_group;
                 let jobs = &jobs;
                 let keys = &keys;
                 let slots = &slots;
-                let store = &store;
                 let rec_pool = &rec_pool;
                 let recorded = &recorded;
                 let store_hits = &store_hits;
@@ -584,104 +517,60 @@ fn run_sweep_inner(
                 let res_tx = res_tx.clone();
                 s.spawn(move || {
                     // Per-worker scratch: queue/event-ring/per-line-bank
-                    // allocations are recycled across this worker's jobs.
+                    // and lane allocations are recycled across this
+                    // worker's groups.
                     let mut scratch = ExperimentScratch::default();
                     loop {
-                        let u = next_unit.fetch_add(1, Ordering::Relaxed);
-                        if u >= work_units {
+                        let g = next_group.fetch_add(1, Ordering::Relaxed);
+                        if g >= n_groups {
                             return;
                         }
-                        if lanes {
-                            // One lane group: the group's simulated
-                            // cells (the baseline slot is absent when it
-                            // will be derived) stepped through one
-                            // shared op window. Store hits leave the
-                            // group first; only the remainder touches
-                            // the stream slot and the simulator.
-                            let base = u * group_len;
-                            let mut miss_idx: Vec<usize> = Vec::new();
-                            for i in (base..base + group_len).filter(|&i| jobs[i].simulate) {
-                                let hit = match (store.as_deref(), &keys[i]) {
-                                    (Some(st), Some(key)) => st.load(key),
-                                    _ => None,
-                                };
-                                match hit {
-                                    Some(cell) => {
-                                        store_hits.fetch_add(1, Ordering::Relaxed);
-                                        let r = result_from_stored(&jobs[i].cfg, cell);
-                                        if res_tx.send((i, r)).is_err() {
-                                            return;
-                                        }
-                                    }
-                                    None => miss_idx.push(i),
-                                }
-                            }
-                            if miss_idx.is_empty() {
-                                continue;
-                            }
-                            let scenario = resolve_stream(
-                                &slots[jobs[base].scenario_idx],
-                                &jobs[base].cfg.scenario,
-                                cfg,
-                                rec_pool,
-                                recorded,
-                            );
-                            let cfgs: Vec<ExperimentConfig> = miss_idx
-                                .iter()
-                                .map(|&i| {
-                                    let mut c = jobs[i].cfg.clone();
-                                    c.scenario = scenario.clone();
-                                    c
-                                })
-                                .collect();
-                            let (f0, c0) =
-                                (scratch.lanes().forks(), scratch.lanes().cycles_shared());
-                            let rs = run_experiment_lanes(&cfgs, &mut scratch);
-                            forks.fetch_add(
-                                (scratch.lanes().forks() - f0) as usize,
-                                Ordering::Relaxed,
-                            );
-                            cycles_shared
-                                .fetch_add(scratch.lanes().cycles_shared() - c0, Ordering::Relaxed);
-                            for (i, r) in miss_idx.into_iter().zip(rs) {
-                                if let (Some(st), Some(key)) = (store.as_deref(), &keys[i]) {
-                                    store_misses.fetch_add(1, Ordering::Relaxed);
-                                    st.publish(key, &r.stats, &r.power).ok();
-                                }
-                                if res_tx.send((i, r)).is_err() {
-                                    return;
-                                }
-                            }
-                        } else {
-                            let job = &jobs[u];
-                            if !job.simulate {
-                                continue; // derived after the pool finishes
-                            }
-                            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
-                                if let Some(cell) = st.load(key) {
+                        // The group's simulated cells stepped through
+                        // one shared op window. Store hits leave the
+                        // group first; only the remainder touches the
+                        // stream slot and the simulator.
+                        let base = g * group_len;
+                        let mut miss_idx: Vec<usize> = Vec::new();
+                        for i in base + first_simulated..base + group_len {
+                            match store.and_then(|st| st.load(&keys[i])) {
+                                Some(cell) => {
                                     store_hits.fetch_add(1, Ordering::Relaxed);
-                                    let r = result_from_stored(&job.cfg, cell);
-                                    if res_tx.send((u, r)).is_err() {
+                                    let r = result_from_stored(&jobs[i], cell);
+                                    if res_tx.send((i, r)).is_err() {
                                         return;
                                     }
-                                    continue;
                                 }
+                                None => miss_idx.push(i),
                             }
-                            let scenario = resolve_stream(
-                                &slots[job.scenario_idx],
-                                &job.cfg.scenario,
-                                cfg,
-                                rec_pool,
-                                recorded,
-                            );
-                            let mut run_cfg = job.cfg.clone();
-                            run_cfg.scenario = scenario;
-                            let r = run_experiment_with_scratch(&run_cfg, &mut scratch);
-                            if let (Some(st), Some(key)) = (store.as_deref(), &keys[u]) {
+                        }
+                        if miss_idx.is_empty() {
+                            continue;
+                        }
+                        let scenario = resolve_stream(
+                            &slots[g / cfg.sizes_mb.len()],
+                            &jobs[base].scenario,
+                            cfg,
+                            rec_pool,
+                            recorded,
+                        );
+                        let cfgs: Vec<ExperimentConfig> = miss_idx
+                            .iter()
+                            .map(|&i| ExperimentConfig {
+                                scenario: scenario.clone(),
+                                ..jobs[i].clone()
+                            })
+                            .collect();
+                        let (f0, c0) = (scratch.lanes().forks(), scratch.lanes().cycles_shared());
+                        let rs = run_experiment_lanes(&cfgs, &mut scratch);
+                        forks.fetch_add((scratch.lanes().forks() - f0) as usize, Ordering::Relaxed);
+                        cycles_shared
+                            .fetch_add(scratch.lanes().cycles_shared() - c0, Ordering::Relaxed);
+                        for (i, r) in miss_idx.into_iter().zip(rs) {
+                            if let Some(st) = store {
                                 store_misses.fetch_add(1, Ordering::Relaxed);
-                                st.publish(key, &r.stats, &r.power).ok();
+                                st.publish(&keys[i], &r.stats, &r.power).ok();
                             }
-                            if res_tx.send((u, r)).is_err() {
+                            if res_tx.send((i, r)).is_err() {
                                 return;
                             }
                         }
@@ -708,9 +597,9 @@ fn run_sweep_inner(
         for base_idx in (0..jobs.len()).step_by(group_len) {
             // audit:allow(unwrap-in-lib, the worker pool joined above; every job slot was filled before the barrier released)
             let donor = results[base_idx + offset].as_ref().expect("donor simulated");
-            let cell = derive_baseline_cell(&jobs[base_idx].cfg, donor);
-            if let (Some(st), Some(key)) = (store.as_deref(), &keys[base_idx]) {
-                st.publish_if_absent(key, &cell.stats, &cell.power).ok();
+            let cell = derive_baseline_cell(&jobs[base_idx], donor);
+            if let Some(st) = store {
+                st.publish_if_absent(&keys[base_idx], &cell.stats, &cell.power).ok();
             }
             results[base_idx] = Some(cell);
             derived += 1;
@@ -735,15 +624,6 @@ fn run_sweep_inner(
         }
     }
 
-    // Group per (scenario, size): first entry is the baseline.
-    let mut cells = Vec::with_capacity(results.len());
-    for chunk in results.chunks(group_len) {
-        let base = &chunk[0];
-        cells.push(summarize(base, TechniqueMetrics::baseline_identity(base)));
-        for tech in &chunk[1..] {
-            cells.push(summarize(tech, TechniqueMetrics::compare(base, tech)));
-        }
-    }
     let telemetry = SweepTelemetry {
         derived,
         recorded: recorded.load(Ordering::Relaxed),
@@ -752,7 +632,7 @@ fn run_sweep_inner(
         forks: forks.load(Ordering::Relaxed),
         cycles_shared: cycles_shared.load(Ordering::Relaxed),
     };
-    (SweepResults { cells }, telemetry)
+    (summarize_groups(&results, group_len), telemetry)
 }
 
 #[cfg(test)]
@@ -789,13 +669,10 @@ mod tests {
     #[test]
     fn memoized_sweep_equals_reference_and_actually_derives() {
         let cfg = tiny(); // includes Protocol: one derived baseline per group
-        let mut scratch = ExperimentScratch::default();
-        let (memo, t) = run_sweep_inner(&cfg, PlannerArms::FULL, &mut scratch);
-        let (full, t_ref) =
-            run_sweep_inner(&cfg, PlannerArms::REFERENCE, &mut ExperimentScratch::default());
+        let (memo, t) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
+        let full = run_sweep_reference(&cfg);
         assert_eq!(t.derived, 2, "one baseline derived per (scenario, size) group");
         assert_eq!(t.recorded, 2, "one shared stream recorded per scenario");
-        assert_eq!((t_ref.derived, t_ref.recorded), (0, 0));
         assert_eq!((t.store_hits, t.store_misses), (0, 0), "no store configured");
         for (a, b) in memo.cells.iter().zip(&full.cells) {
             assert_eq!(a.cycles, b.cycles, "{}:{}", a.benchmark, a.technique);
@@ -810,11 +687,7 @@ mod tests {
     fn sweep_without_a_timing_twin_simulates_every_cell() {
         let mut cfg = tiny();
         cfg.techniques = vec![Technique::Decay { decay_cycles: 16 * 1024 }];
-        let (res, t) = run_sweep_inner(
-            &cfg,
-            PlannerArms::FULL.without_store(),
-            &mut ExperimentScratch::default(),
-        );
+        let (res, t) = run_sweep_with_telemetry(&cfg, &mut ExperimentScratch::default());
         assert_eq!(t.derived, 0, "no timing-identical technique, nothing to derive");
         assert_eq!(res.cells.len(), 4);
     }
@@ -823,31 +696,16 @@ mod tests {
     fn shared_streams_release_their_buffers_and_repool_across_sweeps() {
         let cfg = tiny();
         let mut scratch = ExperimentScratch::default();
-        run_sweep_with_scratch(&cfg, &mut scratch);
+        run_sweep_with_telemetry(&cfg, &mut scratch);
         let first = scratch.stream_arena_stats();
         assert_eq!(first.checkouts, 4, "one stream buffer per core per recorded scenario");
         assert_eq!(first.returns, first.checkouts, "retired recordings repool their buffers");
-        run_sweep_with_scratch(&cfg, &mut scratch);
+        run_sweep_with_telemetry(&cfg, &mut scratch);
         let second = scratch.stream_arena_stats();
         assert_eq!(
             second.fresh_allocations, first.fresh_allocations,
             "the second sweep records into the pooled buffers"
         );
-    }
-
-    #[test]
-    fn unshared_sweep_matches_shared_byte_for_byte() {
-        // The full differential (SimStats + PowerReport over every
-        // technique) lives in tests/stream_sharing.rs; this pins the
-        // sweep-level surface cheaply.
-        let cfg = tiny();
-        let shared = run_sweep(&cfg);
-        let live = run_sweep_unshared(&cfg);
-        for (a, b) in shared.cells.iter().zip(&live.cells) {
-            assert_eq!(a.cycles, b.cycles, "{}:{}", a.benchmark, a.technique);
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.energy_pj, b.energy_pj);
-        }
     }
 
     #[test]

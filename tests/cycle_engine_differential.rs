@@ -13,8 +13,9 @@
 //! horizon: a single core, cores that go idle early and sleep for the
 //! rest of the run, retry storms and read bursts where sleeping cores
 //! must be bulk-charged their stall/retry statistics on wake, a lone
-//! core whose every compute burst ends in a skip, staggered drains, and
-//! decay deadlines inside idle spans. Any divergence — a missed wake
+//! core whose every compute burst ends in a skip, staggered drains,
+//! decay deadlines inside idle spans, and a bus still busy after the
+//! last core drains. Any divergence — a missed wake
 //! edge, a horizon term skipped past, a settle charged to the wrong
 //! counter, a stale powered-line integral — is an engine bug by
 //! definition.
@@ -194,14 +195,10 @@ fn engines_agree_retry_storm() {
     differential_over_techniques(Scenario::Homogeneous(storm), "retry_storm");
 }
 
-#[test]
-fn engines_agree_nack_storm_under_grant_gating() {
-    // Heavily shared write traffic: many in-flight fills to the same
-    // lines, so bus grants repeatedly hit the split-transaction conflict
-    // rule and NACK-retry — each retry re-enqueues after charging
-    // occupancy, reopening the grant horizon. The gate must never skip a
-    // cycle in which a retried request could be granted.
-    let nack = WorkloadSpec {
+/// Heavily shared write traffic: many in-flight fills to the same
+/// lines.
+fn nack_storm() -> WorkloadSpec {
+    WorkloadSpec {
         name: "nack_storm",
         class: BenchClass::Scientific,
         pool_regions: 4,
@@ -217,8 +214,31 @@ fn engines_agree_nack_storm_under_grant_gating() {
         shared_regions: 2,
         share_epoch_ops: 1_000,
         revisit: true,
-    };
-    differential_over_techniques(Scenario::Homogeneous(nack), "nack_storm");
+    }
+}
+
+#[test]
+fn engines_agree_nack_storm_under_grant_gating() {
+    // Bus grants repeatedly hit the split-transaction conflict rule and
+    // NACK-retry — each retry re-enqueues after charging occupancy,
+    // reopening the grant horizon. The gate must never skip a cycle in
+    // which a retried request could be granted.
+    differential_over_techniques(Scenario::Homogeneous(nack_storm()), "nack_storm");
+    // Short two-core runs of the same traffic: the last core drains
+    // while the bus or the memory channel is still occupied and no
+    // event is pending. Every core is asleep, so only the bus-drain
+    // term of the idle horizon stops the skip on the cycle the run
+    // ends; past it, the worklist engine would run on to the interval
+    // close.
+    for technique in all_techniques() {
+        for instr in [300, 1_000] {
+            let mut cfg =
+                ExperimentConfig::paper_scenario(Scenario::Homogeneous(nack_storm()), technique, 1);
+            cfg.n_cores = 2;
+            cfg.instructions_per_core = instr;
+            assert_engines_agree(cfg, "nack_storm_bus_outlasts_cores");
+        }
+    }
 }
 
 #[test]

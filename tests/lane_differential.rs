@@ -9,8 +9,9 @@
 //! consume nothing, and the window's `Exec(0)` filtering is
 //! timing- and statistics-neutral. Coverage: baseline + all seven
 //! paper techniques × homogeneous / heterogeneous-mix / trace-replay
-//! scenarios, plus the sweep surface (`run_sweep` with lanes on by
-//! default against `run_sweep_sequential`, serialized cell-for-cell).
+//! scenarios, plus the sweep surface (`run_sweep`, which always runs
+//! lane groups, against the lane-free serial `run_sweep_reference`,
+//! serialized cell-for-cell).
 //!
 //! Riders extend the claim: a group's decay configurations ride one
 //! trunk lane until each one's first possible turn-off, then fork —
@@ -25,7 +26,7 @@
 use cmp_leakage::core::experiment::{
     run_experiment, run_experiment_lanes, ExperimentConfig, ExperimentScratch,
 };
-use cmp_leakage::core::sweep::{run_sweep, run_sweep_sequential, SweepConfig};
+use cmp_leakage::core::sweep::{run_sweep, run_sweep_reference, SweepConfig};
 use cmp_leakage::core::{Scenario, Technique, WorkloadSpec};
 use cmp_leakage::system::CycleEngine;
 use cmp_leakage::workloads::ScenarioSpec;
@@ -253,9 +254,9 @@ fn lanes_agree_for_every_technique_trace_replay() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The sweep surface: `run_sweep` (lanes on, default) against
-/// `run_sweep_sequential` (the pre-lane planner: memoization and
-/// stream sharing only), serialized cell-for-cell.
+/// The sweep surface: `run_sweep` (lane groups, riders and forks)
+/// against `run_sweep_reference` (every cell simulated alone, no
+/// lanes), serialized cell-for-cell.
 #[test]
 fn laned_sweep_is_byte_identical_to_sequential_sweep() {
     let cfg = SweepConfig {
@@ -272,8 +273,8 @@ fn laned_sweep_is_byte_identical_to_sequential_sweep() {
         store: None,
     };
     let laned = run_sweep(&cfg);
-    let sequential = run_sweep_sequential(&cfg);
+    let sequential = run_sweep_reference(&cfg);
     let a = serde_json::to_string(&laned).expect("serializable");
     let b = serde_json::to_string(&sequential).expect("serializable");
-    assert_eq!(a, b, "laned sweep diverged from the sequential planner");
+    assert_eq!(a, b, "laned sweep diverged from the serial reference");
 }

@@ -9,9 +9,7 @@
 //! (a cold pass hits nothing; a fully-warm pass neither simulates nor
 //! records anything).
 
-use cmp_leakage::core::sweep::{
-    run_sweep_uncached, run_sweep_with_telemetry, SweepConfig, SweepTelemetry,
-};
+use cmp_leakage::core::sweep::{run_sweep, run_sweep_with_telemetry, SweepConfig, SweepTelemetry};
 use cmp_leakage::core::{ExperimentScratch, Scenario, Technique, WorkloadSpec};
 use cmp_leakage::store::ResultStore;
 use cmp_leakage::workloads::ScenarioSpec;
@@ -57,7 +55,7 @@ fn run(cfg: &SweepConfig) -> (String, SweepTelemetry) {
 /// warm pass did no simulation work.
 #[test]
 fn cold_and_warm_store_sweeps_match_uncached_byte_for_byte() {
-    let fresh = json(&run_sweep_uncached(&grid(4, None)));
+    let fresh = json(&run_sweep(&grid(4, None)));
     let (root, store) = temp_store("coldwarm");
 
     let (cold, t_cold) = run(&grid(4, Some(Arc::clone(&store))));
@@ -80,7 +78,7 @@ fn cold_and_warm_store_sweeps_match_uncached_byte_for_byte() {
 /// recording and the hit/miss partition must not perturb results.
 #[test]
 fn store_sweeps_identical_across_thread_counts() {
-    let fresh = json(&run_sweep_uncached(&grid(1, None)));
+    let fresh = json(&run_sweep(&grid(1, None)));
     for cold_threads in [1usize, 2, 8] {
         let (root, store) = temp_store(&format!("threads{cold_threads}"));
         let (cold, _) = run(&grid(cold_threads, Some(Arc::clone(&store))));
@@ -103,9 +101,9 @@ fn store_sweeps_identical_across_thread_counts() {
 /// deterministic for any pool size.
 #[test]
 fn in_pool_recording_is_deterministic_across_thread_counts() {
-    let serial = json(&run_sweep_uncached(&grid(1, None)));
+    let serial = json(&run_sweep(&grid(1, None)));
     for threads in [2usize, 8] {
-        let parallel = json(&run_sweep_uncached(&grid(threads, None)));
+        let parallel = json(&run_sweep(&grid(threads, None)));
         assert_eq!(serial, parallel, "in-pool recording diverged at {threads} thread(s)");
     }
 }

@@ -9,9 +9,7 @@
 //! and — because `publish` overwrites — the damaged cells are repaired
 //! by the very pass that missed on them.
 
-use cmp_leakage::core::sweep::{
-    run_sweep_uncached, run_sweep_with_telemetry, SweepConfig, SweepTelemetry,
-};
+use cmp_leakage::core::sweep::{run_sweep, run_sweep_with_telemetry, SweepConfig, SweepTelemetry};
 use cmp_leakage::core::{ExperimentScratch, Scenario, Technique, WorkloadSpec};
 use cmp_leakage::store::ResultStore;
 use cmp_leakage::workloads::ScenarioSpec;
@@ -60,7 +58,7 @@ fn record_files(root: &Path) -> Vec<PathBuf> {
 /// baseline (all misses — silent fallback), and the pass after that
 /// runs fully warm again (publish repaired the files).
 fn damaged_store_roundtrip(tag: &str, mut damage: impl FnMut(&PathBuf)) {
-    let fresh = run_sweep_uncached(&grid(None));
+    let fresh = run_sweep(&grid(None));
     let fresh_json = serde_json::to_string(&fresh).expect("serializable");
     let root = std::env::temp_dir().join(format!("cmpleak-store-rob-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();

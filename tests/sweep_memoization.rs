@@ -1,14 +1,19 @@
-//! Differential oracle for the baseline→technique sweep memoization.
+//! The sweep planner's differential oracle.
 //!
 //! `run_sweep` derives each (scenario, size) group's baseline cell from
 //! its timing-identical technique twin (Protocol), re-running only the
-//! power bookkeeping. This suite pins the claim that the memoized sweep
-//! is **byte-identical** to the fully simulated reference
-//! (`run_sweep_reference`) — every metric, every raw counter, every
-//! float — across homogeneous scenarios, heterogeneous mixes, multiple
-//! cache sizes and thread counts. Any divergence means a statistic that
-//! is not pure power bookkeeping leaked into the derivation, which is a
-//! memoization bug by definition.
+//! power bookkeeping; records each scenario's op stream once and replays
+//! it in every cell; and steps each (scenario, size) group's cells as
+//! lockstep lanes over one decoded op window. This suite pins the claim
+//! that the planner is **byte-identical** to `run_sweep_reference` — a
+//! serial loop that fully simulates every cell from live generators —
+//! in every metric, every raw counter, every float, across homogeneous
+//! scenarios, heterogeneous mixes, multiple cache sizes and thread
+//! counts. A divergence means one of those layers changed a result; the
+//! per-experiment differentials in `tests/stream_sharing.rs` and
+//! `tests/lane_differential.rs` localize it, and each of those files
+//! also runs the paper set on a threaded two-size grid against the
+//! reference.
 
 use cmp_leakage::core::sweep::{run_sweep, run_sweep_reference, SweepConfig};
 use cmp_leakage::core::{Scenario, Technique, WorkloadSpec};
@@ -19,10 +24,7 @@ fn assert_sweeps_identical(cfg: &SweepConfig, tag: &str) {
     let full = run_sweep_reference(cfg);
     let memo_json = serde_json::to_string_pretty(&memo).expect("serializable");
     let full_json = serde_json::to_string_pretty(&full).expect("serializable");
-    assert_eq!(
-        memo_json, full_json,
-        "{tag}: memoized sweep diverged from the fully simulated reference"
-    );
+    assert_eq!(memo_json, full_json, "{tag}: planner diverged from the serial reference");
 }
 
 #[test]
